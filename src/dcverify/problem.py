@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
+from math import gcd, lcm, prod
+from operator import and_
 from typing import Iterable, Sequence
 
 from .cones import (
@@ -95,19 +98,6 @@ class VectorMap:
             if point.coords == x.coords:
                 return value
         return RationalVector(tuple(_eval_poly(monos, x.coords) for monos in self.coords))
-
-    def _raw_evaluator(self):
-        """Tuple-in tuple-out evaluation closure for grid-scale inner loops."""
-        overrides = {p.coords: v.coords for p, v in self.exceptions}
-        polys = self.coords
-
-        def ev(pt: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-            hit = overrides.get(pt)
-            if hit is not None:
-                return hit
-            return tuple(_eval_poly(monos, pt) for monos in polys)
-
-        return ev
 
     def __call__(self, x: RationalVector) -> RationalVector:
         return self.evaluate(x)
@@ -276,6 +266,109 @@ def _pair_lambdas(lambdas: Sequence[Fraction]) -> list[Fraction]:
     return lams
 
 
+def _rational_gcd(a: Fraction, b: Fraction) -> Fraction:
+    """Largest rational g such that a/g and b/g are both integers."""
+    return Fraction(gcd(a.numerator * b.denominator, b.numerator * a.denominator),
+                    a.denominator * b.denominator)
+
+
+def _at_least(row: Sequence[int], other: Sequence[int]) -> bool:
+    return all(x >= y for x, y in zip(row, other))
+
+
+class _Lattice:
+    """Integer view of one map over one grid, shared by both convexity scans.
+
+    Every scanned point (grid points and the exceptional points in the box)
+    is lo + k*h for an integer index vector k, where each axis step h is the
+    rational gcd of the grid step and the offsets of all scanned points from
+    lo.  With every lambda written w/q, the combination lam*x_i + (1-lam)*x_j
+    has index w*k_i + (q-w)*k_j on the fine lattice lo + K*h/q.  Index
+    vectors are packed into one int by a mixed radix wide enough for the
+    fine lattice; the packing is linear and a convex combination never
+    leaves the box, so combinations can be formed on the packed keys.
+
+    The map is evaluated at most once per fine point reached, in a lazy
+    memo rather than a dense table.  Its values are paired with every cone
+    halfspace normal (primitive integer vectors) and scaled by one common
+    denominator D of all map values on the fine lattice, so each point
+    carries one int per halfspace and every cone inequality becomes an
+    integer comparison.  Exceptional points in the box are scanned points,
+    so their overrides are keyed by fine key like any other value.
+    """
+
+    def __init__(self, vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
+                 lambdas: Sequence[Fraction]) -> None:
+        self.lams = _pair_lambdas(lambdas)
+        self.q = lcm(*(lam.denominator for lam in self.lams))
+        self.points = grid.points(extra=vmap.exception_points())
+        lower = grid.box.lower.coords
+        coarse = []
+        for axis, (lo, hi) in enumerate(zip(lower, grid.box.upper.coords)):
+            step = (hi - lo) / (grid.points_per_axis - 1) if hi != lo else Fraction(1)
+            for p in self.points:
+                step = _rational_gcd(step, p[axis] - lo)
+            coarse.append(step)
+        index = [[int((c - lo) / h) for c, lo, h in zip(p.coords, lower, coarse)]
+                 for p in self.points]
+        radices = [self.q * max(k[axis] for k in index) + 1 for axis in range(len(lower))]
+        strides = [prod(radices[axis + 1:]) for axis in range(len(lower))]
+        # packed coarse index per point; point a sits at fine key q*keys[a]
+        self.keys = [sum(ki * st for ki, st in zip(k, strides)) for k in index]
+        # fine-lattice coordinate x_d = (base_d + K_d*unit_d) / den_d
+        steps = [h / self.q for h in coarse]
+        dens = [lcm(lo.denominator, h.denominator) for lo, h in zip(lower, steps)]
+        self._axes = [(int(lo * den), int(h * den), stride, radix) for lo, h, den, stride, radix
+                      in zip(lower, steps, dens, strides, radices)]
+        # D * map as integer polynomials in the numerators base_d + K_d*unit_d
+        monomial_dens = [[coeff.denominator * prod(den ** e for den, e in zip(dens, exponents))
+                          for exponents, coeff in monos] for monos in vmap.coords]
+        scale = lcm(*(den for row in monomial_dens for den in row),
+                    *(v.denominator for _, value in vmap.exceptions for v in value))
+        self._polys = [[(exponents, coeff.numerator * (scale // den))
+                        for (exponents, coeff), den in zip(monos, row)]
+                       for monos, row in zip(vmap.coords, monomial_dens)]
+        where = {p.coords: a for a, p in enumerate(self.points)}
+        self._overrides = {self.q * self.keys[where[p.coords]]: [int(v * scale) for v in value]
+                           for p, value in vmap.exceptions if p.coords in where}
+        self.normals = [tuple(int(c) for c in a.primitive().coords) for a in cone.halfspaces]
+        self._memo: dict[int, tuple[int, ...]] = {}
+        self.values = [self.value(self.q * key) for key in self.keys]
+
+    def value(self, key: int) -> tuple[int, ...]:
+        """D * <a, map(x)> for each halfspace normal a, at packed fine key."""
+        hit = self._memo.get(key)
+        if hit is None:
+            ys = self._overrides.get(key)
+            if ys is None:
+                xs = [base + key // stride % radix * unit
+                      for base, unit, stride, radix in self._axes]
+                ys = [sum(c * prod(x ** e for x, e in zip(xs, exponents))
+                          for exponents, c in poly) for poly in self._polys]
+            hit = self._memo[key] = tuple(sum(ai * yi for ai, yi in zip(a, ys))
+                                          for a in self.normals)
+        return hit
+
+    def pairs(self):
+        """(a, b, lam, w) with lam = w/q, in scan order: index pairs i < j
+        in lexicographic order, each lambda in list order, and the mirrored
+        orientation (j, i) right after (i, j) when 1 - lam is not itself
+        listed.  Pairs i == j are skipped: their combination is the point
+        itself, which can falsify neither check."""
+        lam_set = set(self.lams)
+        plan = [(lam, int(lam * self.q), (1 - lam) not in lam_set) for lam in self.lams]
+        n = len(self.points)
+        for i in range(n):
+            for j in range(i + 1, n):
+                for lam, w, mirrored in plan:
+                    yield i, j, lam, w
+                    if mirrored:
+                        yield j, i, lam, w
+
+    def witness(self, a: int, b: int, lam: Fraction) -> ConvexityVerdict:
+        return ConvexityVerdict("Falsified", (self.points[a], self.points[b], lam))
+
+
 def check_cone_convex(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
                       lambdas: Sequence[Fraction] = DEFAULT_LAMBDAS) -> ConvexityVerdict:
     """Falsify the convexity inequality over all grid pairs and lambdas.
@@ -284,31 +377,14 @@ def check_cone_convex(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
     for unordered grid pairs; each lambda is mirrored unless its complement
     already appears in the list.  First failure in lexicographic order wins.
     """
-    lams = _pair_lambdas(lambdas)
-    lam_set = set(lams)
-    pts = [p.coords for p in grid.points(extra=vmap.exception_points())]
-    ev = vmap._raw_evaluator()
-    values = [ev(p) for p in pts]
-    halfspaces = [a.coords for a in cone.halfspaces]
-    n = len(pts)
-    for i in range(n):
-        for j in range(i, n):
-            for lam in lams:
-                orientations = [(i, j)]
-                if i != j and (1 - lam) not in lam_set:
-                    orientations.append((j, i))
-                for a, b in orientations:
-                    oml = 1 - lam
-                    xa, xb = pts[a], pts[b]
-                    va, vb = values[a], values[b]
-                    combo = tuple(lam * p + oml * q for p, q in zip(xa, xb))
-                    mid = ev(combo)
-                    diff = tuple(lam * p + oml * q - m for p, q, m in zip(va, vb, mid))
-                    for h in halfspaces:
-                        if sum(hk * dk for hk, dk in zip(h, diff)) < 0:
-                            return ConvexityVerdict(
-                                "Falsified",
-                                (RationalVector(xa), RationalVector(xb), lam))
+    lat = _Lattice(vmap, cone, grid, lambdas)
+    q, keys, values, value = lat.q, lat.keys, lat.values, lat.value
+    for a, b, lam, w in lat.pairs():
+        wc = q - w
+        mid = value(w * keys[a] + wc * keys[b])
+        for sa, sb, sm in zip(values[a], values[b], mid):
+            if w * sa + wc * sb < q * sm:
+                return lat.witness(a, b, lam)
     return ConvexityVerdict("NotFalsified")
 
 
@@ -320,55 +396,26 @@ def check_convexlike(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
     The verdict is grid-relative in both quantifiers: pairs range over the
     grid and the existential witness x3 is searched over the grid only.
     """
-    lams = _pair_lambdas(lambdas)
-    lam_set = set(lams)
-    pts = [p.coords for p in grid.points(extra=vmap.exception_points())]
-    ev = vmap._raw_evaluator()
-    values = [ev(p) for p in pts]
-    halfspaces = [a.coords for a in cone.halfspaces]
-    point_index = {p: k for k, p in enumerate(pts)}
-    n = len(pts)
-
-    def member(diff: tuple[Fraction, ...]) -> bool:
-        return all(sum(hk * dk for hk, dk in zip(h, diff)) >= 0 for h in halfspaces)
-
-    # candidate order: endpoints, the exact combination point when on the
-    # grid, then per-coordinate argmin values, then the full scan
-    argmin_idx = [min(range(n), key=lambda k: values[k][c])
-                  for c in range(vmap.out_dim)]
-
-    def dominated(target: tuple[Fraction, ...], i: int, j: int,
-                  combo: tuple[Fraction, ...]) -> bool:
-        tried = set()
-        candidates = [i, j]
-        k = point_index.get(combo)
-        if k is not None:
-            candidates.append(k)
-        candidates.extend(argmin_idx)
-        for k in candidates:
-            if k in tried:
-                continue
-            tried.add(k)
-            if member(tuple(t - v for t, v in zip(target, values[k]))):
-                return True
-        for k in range(n):
-            if k not in tried and member(tuple(t - v for t, v in zip(target, values[k]))):
-                return True
-        return False
-
-    for i in range(n):
-        for j in range(i, n):
-            for lam in lams:
-                orientations = [(i, j)]
-                if i != j and (1 - lam) not in lam_set:
-                    orientations.append((j, i))
-                for a, b in orientations:
-                    oml = 1 - lam
-                    target = tuple(lam * p + oml * q
-                                   for p, q in zip(values[a], values[b]))
-                    combo = tuple(lam * p + oml * q for p, q in zip(pts[a], pts[b]))
-                    if not dominated(target, a, b, combo):
-                        return ConvexityVerdict(
-                            "Falsified",
-                            (RationalVector(pts[a]), RationalVector(pts[b]), lam))
+    lat = _Lattice(vmap, cone, grid, lambdas)
+    q, values = lat.q, lat.values
+    # some grid point is dominated exactly when a componentwise-minimal value
+    # row is; in lexicographic order no row is preceded by one it dominates
+    minimal: list[tuple[int, ...]] = []
+    for row in sorted(set(values)):
+        if not any(_at_least(row, kept) for kept in minimal):
+            minimal.append(row)
+    # bit r of masks[a]: values[a] is at least minimal row r.  When both ends
+    # of a pair are, so is every combination of their values
+    masks = [sum(1 << r for r, kept in enumerate(minimal) if _at_least(row, kept))
+             for row in values]
+    if reduce(and_, masks, -1):
+        return ConvexityVerdict("NotFalsified")
+    bounds = [tuple(q * m for m in row) for row in minimal]
+    for a, b, lam, w in lat.pairs():
+        if masks[a] & masks[b]:
+            continue
+        wc = q - w
+        target = [w * sa + wc * sb for sa, sb in zip(values[a], values[b])]
+        if not any(_at_least(target, row) for row in bounds):
+            return lat.witness(a, b, lam)
     return ConvexityVerdict("NotFalsified")

@@ -98,6 +98,19 @@ class TestCheckCommands:
         err = capsys.readouterr().err
         assert "dcverify: error:" in err and "unknown section" in err
 
+    def test_zero_denominator_in_problem_file_reports_cleanly(self, capsys, problem_path):
+        text = problem_path.read_text(encoding="utf-8").replace("eps = 0", "eps = 1/0")
+        problem_path.write_text(text, encoding="utf-8")
+        assert main(["check", "weak-min", "--problem", str(problem_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dcverify: error: line ") and "zero denominator" in err
+
+    def test_zero_denominator_radius_reports_cleanly(self, capsys, problem_path):
+        assert main(["check", "weak-min", "--problem", str(problem_path),
+                     "--radius", "1/0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dcverify: error:") and "zero denominator" in err
+
     def test_missing_problem_file_reports_cleanly(self, capsys, tmp_path):
         assert main(["check", "weak-min", "--problem", str(tmp_path / "nope")]) == 1
         assert "dcverify: error:" in capsys.readouterr().err

@@ -247,3 +247,7 @@ class TestRationalParsing:
     def test_decimals_rejected(self):
         with pytest.raises(ValueError):
             parse_rational("0.5")
+
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational("3/0")

@@ -147,6 +147,11 @@ class TestErrors:
         with pytest.raises(ProblemFileError, match="p/q"):
             parse_problem(text)
 
+    def test_zero_denominator_rejected_with_line(self):
+        text = patched(MINIMAL, "eps = 0", "eps = 1/0")
+        with pytest.raises(ProblemFileError, match="line 28: zero denominator"):
+            parse_problem(text)
+
     def test_duplicate_section_rejected(self):
         with pytest.raises(ProblemFileError, match="duplicate"):
             parse_problem(MINIMAL + "\n[point]\nxbar = 0\n")
