@@ -51,7 +51,6 @@ from .problem import (
     VectorMap,
     check_cone_convex,
     check_convexlike,
-    evaluate,
     feasible_contains,
 )
 from .problemfile import ParsedProblem, ProblemFileError, parse_problem

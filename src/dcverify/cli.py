@@ -15,6 +15,10 @@ One subcommand per certified statement:
 
 Common flags: --grid <points-per-axis>, --radius <p/q>, --format {text|machine}.
 Flags override the [options] section of the problem file.
+
+This module only parses arguments and files: every check kind runs through
+its one result builder in ``scenarios``, the same builder the scenario
+pipelines use, so a check reports the same result either way.
 """
 
 from __future__ import annotations
@@ -23,23 +27,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cones import RationalVector, format_rational, parse_rational
+from .cones import format_rational, parse_rational
 from .dissipativity import gradient_field
-from .multipliers import alternative_system, necessary_condition, sufficient_condition
-from .pareto import DilationFamily, NeighborhoodSpec, check_eps_proper_local_min
-from .problem import BoxSet, GridSpec, VectorMap
-from .problemfile import ParsedProblem, parse_problem
-from .report import CheckResult, Report, emit_report, rat_str, vec_strs
-from .scenarios import (
-    dissipativity_results,
-    run_scenario,
-    scenario_names,
-    weak_min_result,
-)
-from .subdiff import LinearOperator, eps_subdiff_contains, strong_subdiff_contains
-
-CHECK_KINDS = ("weak-min", "proper-min", "subdiff", "dissipative", "alternative",
-               "sufficient", "necessary")
+from .pareto import NeighborhoodSpec
+from .problem import GridSpec
+from .problemfile import parse_problem
+from .report import Report, emit_report
+from .scenarios import CHECK_KINDS, check_results, run_scenario, scenario_names
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,98 +59,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _subdiff_results(parsed: ParsedProblem, grid: GridSpec) -> list[CheckResult]:
-    """Membership verdicts for the supplied candidates: T against the
-    eps-subdifferential of G, L against the strong subdifferential of S."""
-    problem = parsed.problem
-    results = []
-    for idx, T in enumerate(parsed.candidates_T):
-        verdict = eps_subdiff_contains(problem.G, problem.K, problem.xbar, T,
-                                       problem.eps, grid)
-        data = {"candidate": str(T)}
-        if not verdict.certified:
-            data["witness"] = vec_strs(verdict.witness)
-        results.append(CheckResult(f"eps-subdiff G candidate {idx}", verdict.status,
-                                   params={"grid": str(grid.points_per_axis)}, data=data))
-    for idx, L in enumerate(parsed.candidates_L):
-        verdict = strong_subdiff_contains(problem.S, problem.D, problem.xbar, L, grid)
-        data = {"candidate": str(L)}
-        if not verdict.certified:
-            data["witness"] = vec_strs(verdict.witness)
-        results.append(CheckResult(f"strong-subdiff S candidate {idx}", verdict.status,
-                                   params={"grid": str(grid.points_per_axis)}, data=data))
-    return results
-
-
-def _alternative_result(parsed: ParsedProblem, U: NeighborhoodSpec,
-                        grid: GridSpec) -> CheckResult:
-    """Alternative system for the scalarized subgradient pair built from the
-    first candidates, over the neighborhood grid."""
-    problem = parsed.problem
-    T, L = parsed.candidates_T[0], parsed.candidates_L[0]
-    xbar = problem.xbar
-    F_base = problem.F.evaluate(xbar)
-    H_base = problem.H.evaluate(xbar)
-
-    def shifted(vmap: VectorMap, base, op, plus_eps) -> VectorMap:
-        # represent x -> vmap(x) - base - op(x - xbar) (+ eps) through the
-        # polynomial parts; exceptions are translated pointwise
-        coords = []
-        for i in range(vmap.out_dim):
-            monos = list(vmap.coords[i])
-            const = -base[i] + (problem.eps[i] if plus_eps else 0)
-            row = op.matrix[i]
-            for j in range(vmap.in_dim):
-                if row[j]:
-                    exps = tuple(1 if k == j else 0 for k in range(vmap.in_dim))
-                    monos.append((exps, -row[j]))
-                    const += row[j] * xbar[j]
-            monos.append((tuple(0 for _ in range(vmap.in_dim)), const))
-            coords.append(tuple(monos))
-        exceptions = []
-        for p, v in vmap.exceptions:
-            val = v - base - op.apply(p - xbar)
-            if plus_eps:
-                val = val + problem.eps
-            exceptions.append((p, val))
-        return VectorMap(vmap.in_dim, vmap.out_dim, tuple(coords), tuple(exceptions))
-
-    Fsys = shifted(problem.F, F_base, T, plus_eps=True)
-    Gsys = shifted(problem.H, H_base, L, plus_eps=False)
-    ball = BoxSet(
-        RationalVector(tuple(c - U.radius for c in xbar.coords)),
-        RationalVector(tuple(c + U.radius for c in xbar.coords)),
-    ).intersect(problem.C)
-    outcome = alternative_system(Fsys, Gsys, problem.K, problem.D,
-                                 GridSpec(ball, grid.points_per_axis))
-    params = {"grid": str(grid.points_per_axis), "radius": rat_str(U.radius)}
-    data: dict = {"T": str(T), "L": str(L)}
-    if outcome.kind == "SolutionExists":
-        data["x"] = vec_strs(outcome.x)
-    elif outcome.kind == "Multipliers":
-        data["ystar"] = vec_strs(outcome.certificate.ystar)
-        data["zstar"] = vec_strs(outcome.certificate.zstar)
-    if outcome.warnings:
-        data["warnings"] = list(outcome.warnings)
-    return CheckResult("alternative", outcome.kind, params=params, data=data)
-
-
-def _gradient_at(vmap: VectorMap, xbar: RationalVector) -> LinearOperator:
-    return gradient_field(vmap).operators_at(xbar)[0]
-
-
 def _run_check(args: argparse.Namespace) -> Report:
-    text = Path(args.problem).read_text(encoding="utf-8")
-    parsed = parse_problem(text)
+    """Parse the file, default the candidates, resolve --grid/--radius, and
+    run the one result builder for the requested check kind."""
+    parsed = parse_problem(Path(args.problem).read_text(encoding="utf-8"))
     problem = parsed.problem
     # absent candidate lists default to the gradients at the base point;
     # the second operator quantifier ranges over the constraint map that the
     # requested condition differentiates
     if not parsed.candidates_T:
-        parsed.candidates_T = [_gradient_at(problem.G, problem.xbar)]
+        parsed.candidates_T = [gradient_field(problem.G).operators_at(problem.xbar)[0]]
     if not parsed.candidates_L:
         source = problem.H if args.what == "necessary" else problem.S
-        parsed.candidates_L = [_gradient_at(source, problem.xbar)]
+        parsed.candidates_L = [gradient_field(source).operators_at(problem.xbar)[0]]
     grid_points = args.grid if args.grid is not None else parsed.options.grid_points
     radius = parse_rational(args.radius) if args.radius is not None else parsed.options.radius
     grid = GridSpec(problem.C, grid_points)
@@ -165,65 +80,9 @@ def _run_check(args: argparse.Namespace) -> Report:
     echo = f"check {args.what} --problem {Path(args.problem).name}"
     if args.what in ("sufficient", "necessary"):
         echo += f" --mode {args.mode} --target {args.target}"
-    report = Report(command=echo, problem=Path(args.problem).name,
-                    options={"grid": str(grid_points), "radius": format_rational(radius)})
-
-    if args.what == "weak-min":
-        report.results.append(weak_min_result(parsed, U, grid))
-    elif args.what == "proper-min":
-        family = DilationFamily(parsed.options.shears)
-        verdict = check_eps_proper_local_min(problem, U, family, grid)
-        data = {"feasible_points_checked": str(verdict.checked),
-                "shears": [rat_str(m) for m in family.shears]}
-        if verdict.certified:
-            data["shear"] = rat_str(verdict.shear)
-        report.results.append(CheckResult(
-            "proper-min", verdict.status,
-            params={"grid": str(grid_points), "radius": format_rational(radius)},
-            data=data))
-    elif args.what == "subdiff":
-        report.results.extend(_subdiff_results(parsed, grid))
-    elif args.what == "dissipative":
-        report.results.extend(dissipativity_results(parsed, grid))
-    elif args.what == "alternative":
-        report.results.append(_alternative_result(parsed, U, grid))
-    elif args.what == "sufficient":
-        outcome = sufficient_condition(problem, parsed.candidates_T, parsed.candidates_L,
-                                       parsed.correction_pairs(), args.target, args.mode,
-                                       U, grid)
-        params = {"mode": args.mode, "target": args.target,
-                  "grid": str(grid_points), "radius": format_rational(radius),
-                  "candidates_T": [str(T) for T in parsed.candidates_T],
-                  "candidates_L": [str(L) for L in parsed.candidates_L]}
-        if outcome.certified:
-            data = {"certificates": [
-                {"ystar": vec_strs(c.ystar), "zstar": vec_strs(c.zstar)}
-                for c in outcome.certificates]}
-        else:
-            data = {"failed_T": str(outcome.failed_T), "failed_L": str(outcome.failed_L)}
-            if outcome.failed_correction is not None:
-                data["failed_alpha"] = vec_strs(outcome.failed_correction.alpha)
-                data["failed_beta"] = vec_strs(outcome.failed_correction.beta)
-        report.results.append(CheckResult(f"sufficient-{args.mode}", outcome.kind,
-                                          params=params, data=data))
-    elif args.what == "necessary":
-        outcome = necessary_condition(problem, parsed.candidates_T, parsed.candidates_L,
-                                      args.target, args.mode, U, grid)
-        params = {"mode": args.mode, "target": args.target,
-                  "grid": str(grid_points), "radius": format_rational(radius),
-                  "candidates_T": [str(T) for T in parsed.candidates_T],
-                  "candidates_L": [str(L) for L in parsed.candidates_L]}
-        if outcome.kind == "Multipliers":
-            data = {"ystar": vec_strs(outcome.certificate.ystar),
-                    "zstar": vec_strs(outcome.certificate.zstar),
-                    "chosen_T": str(outcome.chosen_T), "chosen_L": str(outcome.chosen_L)}
-        else:
-            data = {"trace": list(outcome.trace)}
-        if outcome.warnings:
-            data["warnings"] = list(outcome.warnings)
-        report.results.append(CheckResult(f"necessary-{args.mode}", outcome.kind,
-                                          params=params, data=data))
-    return report
+    return Report(command=echo, problem=Path(args.problem).name,
+                  options={"grid": str(grid_points), "radius": format_rational(radius)},
+                  results=check_results(args.what, parsed, U, grid, args.mode, args.target))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -197,13 +197,6 @@ def _rref(rows: Sequence[Row], dim: int) -> tuple[list[list[Fraction]], list[int
     return mat[:row_idx], pivots
 
 
-def _rank(rows: Sequence[Row], dim: int) -> int:
-    if not rows:
-        return 0
-    _, pivots = _rref(rows, dim)
-    return len(pivots)
-
-
 def _null_space_basis(rows: Sequence[Row], dim: int) -> list[Row]:
     """Canonical (RREF-derived) basis of {x : <r, x> = 0 for all rows r}."""
     reduced, pivots = _rref(rows, dim)
@@ -223,24 +216,13 @@ def _project_off(vec: Row, basis: Sequence[Row]) -> Row:
     if not basis:
         return vec
     k = len(basis)
-    gram = [[sum(a * b for a, b in zip(basis[i], basis[j])) for j in range(k)]
-            for i in range(k)]
-    rhs = [sum(a * b for a, b in zip(basis[i], vec)) for i in range(k)]
-    # solve gram * lam = rhs by Gaussian elimination (gram is invertible)
-    aug = [gram[i] + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        pivot_row = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    lam = [aug[i][k] for i in range(k)]
+    # the Gram matrix is invertible, so [gram | rhs] reduces to [I | lam]
+    aug = [tuple(sum(a * b for a, b in zip(basis[i], w)) for w in (*basis, vec))
+           for i in range(k)]
+    reduced, _ = _rref(aug, k)
     proj = list(vec)
-    for coeff, bvec in zip(lam, basis):
-        proj = [p - coeff * b for p, b in zip(proj, bvec)]
+    for row, bvec in zip(reduced, basis):
+        proj = [p - row[k] * b for p, b in zip(proj, bvec)]
     return tuple(proj)
 
 

@@ -43,7 +43,7 @@ from .cones import (
     cone_contains,
     format_rational,
 )
-from .pareto import NeighborhoodSpec, check_eps_weak_local_min
+from .pareto import NeighborhoodSpec, _local_points, check_eps_weak_local_min
 from .problem import DCProblem, GridSpec, VectorMap, check_convexlike
 from .subdiff import LinearOperator
 
@@ -458,9 +458,45 @@ class SufficientOutcome:
         return self.kind == "AllCandidatesCertified"
 
 
-def _local_points(problem: DCProblem, U: NeighborhoodSpec, grid: GridSpec) -> list[RationalVector]:
-    return [x for x in problem.certification_points(grid)
-            if U.contains(x, problem.xbar)]
+def _check_inputs(candidates_T: Sequence[LinearOperator],
+                  candidates_L: Sequence[LinearOperator], target: str, mode: str) -> None:
+    if mode not in (MODE_CORRECTED, MODE_LEGACY):
+        raise ValueError(f"unknown mode {mode!r}")
+    if target not in (TARGET_WEAK, TARGET_PROPER):
+        raise ValueError(f"unknown target {target!r}")
+    if not candidates_T or not candidates_L:
+        raise ValueError("candidate operator lists must be nonempty")
+
+
+def _local_values(problem: DCProblem, U: NeighborhoodSpec, grid: GridSpec) -> list[tuple]:
+    """(x, x - xbar, F(x) - F(xbar), H(x) - H(xbar)) for each local grid point,
+    so every map is evaluated once per point whatever the candidates."""
+    xbar = problem.xbar
+    F_base, H_base = problem.F.evaluate(xbar), problem.H.evaluate(xbar)
+    return [(x, x - xbar, problem.F.evaluate(x) - F_base, problem.H.evaluate(x) - H_base)
+            for x in _local_points(problem, U, grid)]
+
+
+def _subgradient_rows(problem: DCProblem, values: list[tuple], T: LinearOperator,
+                      L: LinearOperator, eps: RationalVector | None = None) -> list[Constraint]:
+    """Rows F(x) - F(xbar) - moved_y and H(x) - H(xbar) - moved_z over the
+    local points, with moved_y = T(x - xbar) - eps and moved_z = L(x - xbar)."""
+    entries = []
+    for x, step, dF, dH in values:
+        moved_y = T.apply(step) if eps is None else T.apply(step) - eps
+        entries.append((dF - moved_y, dH - L.apply(step), f"subgradient-row x={x}"))
+    return _grid_rows(entries, problem.K, problem.D)
+
+
+def _complementarity_row(problem: DCProblem, comp_slack: RationalVector) -> Constraint:
+    return Constraint(_pad(None, comp_slack, problem.y_dim, problem.z_dim), "eq", Fraction(0),
+                      "complementarity")
+
+
+def _zero_rows(first: int, count: int, width: int, label: str) -> list[Constraint]:
+    """Unit equalities forcing the unknowns first .. first + count - 1 to zero."""
+    return [Constraint(tuple(Fraction(int(k == i)) for k in range(width)), "eq", Fraction(0), label)
+            for i in range(first, first + count)]
 
 
 def sufficient_condition(problem: DCProblem,
@@ -477,12 +513,7 @@ def sufficient_condition(problem: DCProblem,
     that mode requires x_dim = 1.  Legacy mode is the corrections-free
     variant and supports any domain dimension.
     """
-    if mode not in (MODE_CORRECTED, MODE_LEGACY):
-        raise ValueError(f"unknown mode {mode!r}")
-    if target not in (TARGET_WEAK, TARGET_PROPER):
-        raise ValueError(f"unknown target {target!r}")
-    if not candidates_T or not candidates_L:
-        raise ValueError("candidate operator lists must be nonempty")
+    _check_inputs(candidates_T, candidates_L, target, mode)
     if mode == MODE_CORRECTED and problem.x_dim != 1:
         raise ValueError("corrected mode is defined for a one-dimensional domain only")
     if mode == MODE_CORRECTED:
@@ -494,13 +525,10 @@ def sufficient_condition(problem: DCProblem,
     else:
         pairs = [None]
 
-    pts = _local_points(problem, U, grid)
-    xbar = problem.xbar
-    F_base, H_base = problem.F.evaluate(xbar), problem.H.evaluate(xbar)
-    comp_slack = H_base - problem.S.evaluate(xbar)
+    values = _local_values(problem, U, grid)
+    comp_slack = problem.H.evaluate(problem.xbar) - problem.S.evaluate(problem.xbar)
     base_rows = _dual_rows(problem.K, problem.D) + [
-        Constraint(_pad(None, comp_slack, problem.y_dim, problem.z_dim),
-                   "eq", Fraction(0), "complementarity"),
+        _complementarity_row(problem, comp_slack),
         _scale_fixing_row(problem.K, problem.D),
     ] + _ystar_strict_rows(problem.K, problem.D, target)
 
@@ -508,19 +536,12 @@ def sufficient_condition(problem: DCProblem,
     for T in candidates_T:
         for L in candidates_L:
             for corr in pairs:
-                entries = []
-                for x in pts:
-                    step = x - xbar
-                    if corr is None:
-                        moved_y = T.apply(step)
-                        moved_z = L.apply(step)
-                    else:
-                        moved_y = (T.as_vector() - corr.alpha).scale(step[0])
-                        moved_z = (L.as_vector() - corr.beta).scale(step[0])
-                    coeff_y = problem.F.evaluate(x) - F_base - moved_y
-                    coeff_z = problem.H.evaluate(x) - H_base - moved_z
-                    entries.append((coeff_y, coeff_z, f"subgradient-row x={x}"))
-                constraints = base_rows + _grid_rows(entries, problem.K, problem.D)
+                if corr is None:
+                    moved_T, moved_L = T, L
+                else:
+                    moved_T = LinearOperator.column((T.as_vector() - corr.alpha).coords)
+                    moved_L = LinearOperator.column((L.as_vector() - corr.beta).coords)
+                constraints = base_rows + _subgradient_rows(problem, values, moved_T, moved_L)
                 lfp = LinearFeasibilityProblem(
                     _variables(problem.y_dim, problem.z_dim), tuple(constraints))
                 result = solve_feasibility(lfp)
@@ -548,19 +569,6 @@ class NecessaryOutcome:
     warnings: tuple[str, ...] = ()
 
 
-def _necessary_entries(problem: DCProblem, T: LinearOperator, L: LinearOperator,
-                       pts: Sequence[RationalVector]):
-    xbar = problem.xbar
-    F_base, H_base = problem.F.evaluate(xbar), problem.H.evaluate(xbar)
-    entries = []
-    for x in pts:
-        step = x - xbar
-        coeff_y = problem.F.evaluate(x) - F_base + problem.eps - T.apply(step)
-        coeff_z = problem.H.evaluate(x) - H_base - L.apply(step)
-        entries.append((coeff_y, coeff_z, f"subgradient-row x={x}"))
-    return entries
-
-
 def necessary_condition(problem: DCProblem,
                         candidates_T: Sequence[LinearOperator],
                         candidates_L: Sequence[LinearOperator],
@@ -573,12 +581,7 @@ def necessary_condition(problem: DCProblem,
     the complementarity equality.  The proper target tries the ystar = 0
     branch first, then the strict-polar branch.
     """
-    if mode not in (MODE_CORRECTED, MODE_LEGACY):
-        raise ValueError(f"unknown mode {mode!r}")
-    if target not in (TARGET_WEAK, TARGET_PROPER):
-        raise ValueError(f"unknown target {target!r}")
-    if not candidates_T or not candidates_L:
-        raise ValueError("candidate operator lists must be nonempty")
+    _check_inputs(candidates_T, candidates_L, target, mode)
 
     warnings = []
     minimality = check_eps_weak_local_min(problem, U, grid)
@@ -587,39 +590,28 @@ def necessary_condition(problem: DCProblem,
             f"base point is not certified weak-minimal on the grid "
             f"(witness {minimality.witness})")
 
-    pts = _local_points(problem, U, grid)
+    values = _local_values(problem, U, grid)
     y_dim, z_dim = problem.y_dim, problem.z_dim
     comp_slack = problem.H.evaluate(problem.xbar) - problem.S.evaluate(problem.xbar)
-    comp_row = Constraint(_pad(None, comp_slack, y_dim, z_dim), "eq", Fraction(0),
-                          "complementarity")
+    comp_row = _complementarity_row(problem, comp_slack)
     scale_row = _scale_fixing_row(problem.K, problem.D)
     dual = _dual_rows(problem.K, problem.D)
+    branches = [[]] if target == TARGET_WEAK else [
+        _zero_rows(0, y_dim, y_dim + z_dim, "ystar-zero"),
+        _ystar_strict_rows(problem.K, problem.D, TARGET_PROPER)]
 
-    def branches() -> list[list[Constraint]]:
-        if target == TARGET_WEAK:
-            return [[]]
-        y_zero = [Constraint(_pad(RationalVector.of(*([0] * i + [1] + [0] * (y_dim - i - 1))),
-                                  None, y_dim, z_dim), "eq", Fraction(0), "ystar-zero")
-                  for i in range(y_dim)]
-        return [y_zero, _ystar_strict_rows(problem.K, problem.D, TARGET_PROPER)]
-
-    def solve_for(T: LinearOperator, L: LinearOperator, with_comp: bool,
+    def solve_for(grid_rows: list[Constraint], with_comp: bool,
                   extra: list[Constraint]) -> tuple[LinearFeasibilityProblem, FeasibilityResult]:
-        rows = list(dual)
-        if with_comp:
-            rows.append(comp_row)
-        rows.append(scale_row)
-        rows.extend(extra)
-        rows.extend(_grid_rows(_necessary_entries(problem, T, L, pts),
-                               problem.K, problem.D))
+        rows = dual + ([comp_row] if with_comp else []) + [scale_row] + extra + grid_rows
         lfp = LinearFeasibilityProblem(_variables(y_dim, z_dim), tuple(rows))
         return lfp, solve_feasibility(lfp)
 
     with_comp = (mode == MODE_LEGACY)
     for T in candidates_T:
         for L in candidates_L:
-            for extra in branches():
-                lfp, result = solve_for(T, L, with_comp, extra)
+            grid_rows = _subgradient_rows(problem, values, T, L, problem.eps)
+            for extra in branches:
+                lfp, result = solve_for(grid_rows, with_comp, extra)
                 if result.feasible:
                     return NecessaryOutcome(
                         "Multipliers",
@@ -633,12 +625,11 @@ def necessary_condition(problem: DCProblem,
             trace.append(
                 "complementarity <zstar, (H-S)(xbar)> = 0 forces zstar = 0 "
                 "(the constraint slack is strictly interior to -D)")
-            z_zero = [Constraint(_pad(None, RationalVector.of(*([0] * i + [1] + [0] * (z_dim - i - 1))),
-                                      y_dim, z_dim), "eq", Fraction(0), "zstar-zero")
-                      for i in range(z_dim)]
-            T, L = candidates_T[0], candidates_L[0]
-            for extra in branches():
-                _, res = solve_for(T, L, False, extra + z_zero)
+            z_zero = _zero_rows(y_dim, z_dim, y_dim + z_dim, "zstar-zero")
+            grid_rows = _subgradient_rows(problem, values, candidates_T[0], candidates_L[0],
+                                          problem.eps)
+            for extra in branches:
+                _, res = solve_for(grid_rows, False, extra + z_zero)
                 if res.feasible:
                     break
             else:

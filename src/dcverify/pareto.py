@@ -90,12 +90,13 @@ class ProperMinVerdict:
         return self.status == "CertifiedOnGrid"
 
 
+def _local_points(problem: DCProblem, U: NeighborhoodSpec, grid: GridSpec) -> list[RationalVector]:
+    return [x for x in problem.certification_points(grid)
+            if U.contains(x, problem.xbar)]
+
+
 def _local_feasible_points(problem: DCProblem, U: NeighborhoodSpec, grid: GridSpec):
-    for x in problem.certification_points(grid):
-        if not U.contains(x, problem.xbar):
-            continue
-        if feasible_contains(problem, x):
-            yield x
+    return (x for x in _local_points(problem, U, grid) if feasible_contains(problem, x))
 
 
 def check_eps_weak_local_min(problem: DCProblem, U: NeighborhoodSpec,

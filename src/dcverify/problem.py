@@ -92,6 +92,7 @@ class VectorMap:
         return cls(in_dim, out_dim, tuple(() for _ in range(out_dim)))
 
     def evaluate(self, x: RationalVector) -> RationalVector:
+        """Exact evaluation; exceptional points override the polynomial."""
         if x.dim != self.in_dim:
             raise DimensionMismatchError(f"point dim {x.dim} vs map in_dim {self.in_dim}")
         for point, value in self.exceptions:
@@ -116,11 +117,6 @@ class VectorMap:
 
     def exception_points(self) -> list[RationalVector]:
         return [p for p, _ in self.exceptions]
-
-
-def evaluate(vmap: VectorMap, x: RationalVector) -> RationalVector:
-    """Exact evaluation; exceptional points override the polynomial."""
-    return vmap.evaluate(x)
 
 
 @dataclass(frozen=True)

@@ -72,21 +72,41 @@ def emit_report(report: Report, format: str = "text") -> bytes:
     raise ValueError(f"unknown report format {format!r}")
 
 
+_JSON_NAMES = {dict: "JSON object", list: "JSON list", str: "JSON string"}
+
+
+def _field(obj: Any, key: str, kind: type, where: str) -> Any:
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed machine report: {where} is not a JSON object")
+    if key not in obj:
+        raise ValueError(f"malformed machine report: {where} lacks the field {key!r}")
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"malformed machine report: field {key!r} of {where} "
+                         f"is not a {_JSON_NAMES[kind]}")
+    return obj[key]
+
+
 def parse_machine_report(data: bytes) -> Report:
-    """Inverse of the machine rendering; emit(parse(emit(r))) is the identity."""
+    """Inverse of the machine rendering; emit(parse(emit(r))) is the identity.
+
+    Anything that is not a well-formed dcverify machine report raises
+    ``ValueError`` naming the missing or ill-typed field.
+    """
     payload = json.loads(data.decode("utf-8"))
-    if payload.get("tool") != TOOL_NAME:
+    if _field(payload, "tool", str, "the report") != TOOL_NAME:
         raise ValueError("not a dcverify machine report")
-    results = [
-        CheckResult(r["name"], r["status"], dict(r["params"]), dict(r["data"]))
-        for r in payload["results"]
-    ]
+    results = []
+    for idx, r in enumerate(_field(payload, "results", list, "the report")):
+        where = f"result {idx}"
+        results.append(CheckResult(
+            _field(r, "name", str, where), _field(r, "status", str, where),
+            dict(_field(r, "params", dict, where)), dict(_field(r, "data", dict, where))))
     return Report(
-        command=payload["command"],
-        problem=payload["problem"],
-        options=dict(payload["options"]),
+        command=_field(payload, "command", str, "the report"),
+        problem=_field(payload, "problem", str, "the report"),
+        options=dict(_field(payload, "options", dict, "the report")),
         results=results,
-        flags=list(payload["flags"]),
+        flags=list(_field(payload, "flags", list, "the report")),
     )
 
 

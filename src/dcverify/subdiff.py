@@ -92,19 +92,13 @@ class SubdiffVerdict:
 def strong_subdiff_contains(vmap: VectorMap, cone: PolyhedralCone, xbar: RationalVector,
                             T: LinearOperator, grid: GridSpec) -> SubdiffVerdict:
     """Check map(x) - map(xbar) - T(x - xbar) in cone for every grid x."""
-    if T.out_dim != vmap.out_dim or T.in_dim != vmap.in_dim:
-        raise DimensionMismatchError("operator shape does not match the map")
-    base = vmap.evaluate(xbar)
-    for x in grid.points(extra=vmap.exception_points() + [xbar]):
-        diff = vmap.evaluate(x) - base - T.apply(x - xbar)
-        if not cone_contains(cone, diff):
-            return SubdiffVerdict("Falsified", x, grid)
-    return SubdiffVerdict("CertifiedOnGrid", None, grid)
+    return eps_subdiff_contains(vmap, cone, xbar, T, RationalVector.zero(vmap.out_dim), grid)
 
 
 def eps_subdiff_contains(vmap: VectorMap, cone: PolyhedralCone, xbar: RationalVector,
                          T: LinearOperator, eps: RationalVector, grid: GridSpec) -> SubdiffVerdict:
-    """As the strong test, with +eps slack; eps must be a cone member."""
+    """Check map(x) - map(xbar) - T(x - xbar) + eps in cone for every grid x;
+    eps must be a cone member."""
     if not cone_contains(cone, eps):
         raise ValueError("eps not in the ordering cone")
     if T.out_dim != vmap.out_dim or T.in_dim != vmap.in_dim:

@@ -116,6 +116,33 @@ class TestCheckCommands:
         assert "dcverify: error:" in capsys.readouterr().err
 
 
+class TestScenarioSteps:
+    """Every scenario result of a check kind is the result that
+    ``dcverify check <kind> --mode <m> --target weak`` gives on the same file."""
+
+    @pytest.mark.parametrize("name,file", [("example-3-1", "example_3_1.problem"),
+                                           ("example-4-1", "example_4_1.problem")])
+    def test_scenario_results_equal_check_results(self, capsysbinary, name, file):
+        path = str(files("dcverify").joinpath("problems", file))
+        scenario = json.loads(run_main(capsysbinary, ["scenario", name, "--format", "machine"]))
+        matched = 0
+        for result in scenario["results"]:
+            kind, _, mode = result["name"].partition("-")
+            if result["name"].startswith("dissipativity "):
+                argv = ["dissipative"]
+            elif result["name"] == "weak-min":
+                argv = ["weak-min"]
+            elif kind in ("sufficient", "necessary"):
+                argv = [kind, "--mode", mode, "--target", "weak"]
+            else:
+                continue
+            check = json.loads(run_main(capsysbinary, [
+                "check", *argv, "--problem", path, "--format", "machine"]))
+            assert result in check["results"]
+            matched += 1
+        assert matched == {"example-3-1": 5, "example-4-1": 3}[name]
+
+
 class TestEntryPoint:
     def test_module_invocation(self, problem_path):
         proc = subprocess.run(

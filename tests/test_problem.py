@@ -15,7 +15,6 @@ from dcverify import (
     check_cone_convex,
     check_convexlike,
     cone_contains,
-    evaluate,
     feasible_contains,
     nonnegative_orthant,
 )
@@ -31,22 +30,22 @@ def box1(lo, hi):
 
 class TestEvaluate:
     def test_quartic_quadratic_at_half(self, quartic_quadratic):
-        assert evaluate(quartic_quadratic.problem.F, V(HALF)) == V("1/16", "1/4")
+        assert quartic_quadratic.problem.F.evaluate(V(HALF)) == V("1/16", "1/4")
 
     def test_exceptional_point_override(self, exceptional_point):
         F = exceptional_point.problem.F
-        assert evaluate(F, V(0)) == V(0)
-        assert evaluate(F, V("1/3")) == V(-1)
+        assert F.evaluate(V(0)) == V(0)
+        assert F.evaluate(V("1/3")) == V(-1)
 
     def test_zero_polynomial(self):
         zero = VectorMap.zero(1, 2)
-        assert evaluate(zero, V("-7/3")) == V(0, 0)
+        assert zero.evaluate(V("-7/3")) == V(0, 0)
 
     def test_evaluation_is_deterministic_and_exact(self):
         vmap = scalar_map(((2,), Fraction(3, 7)), ((0,), Fraction(-1, 5)))
         x = V("22/7")
-        assert evaluate(vmap, x) == evaluate(vmap, x)
-        assert evaluate(vmap, x)[0] == Fraction(3, 7) * Fraction(22, 7) ** 2 - Fraction(1, 5)
+        assert vmap.evaluate(x) == vmap.evaluate(x)
+        assert vmap.evaluate(x)[0] == Fraction(3, 7) * Fraction(22, 7) ** 2 - Fraction(1, 5)
 
     def test_distinct_exception_points_enforced(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Report rendering, round-trips, determinism, and witness re-verification."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +61,23 @@ class TestEmitAndParse:
             parsed = parse_machine_report(data)
             assert parsed == report
             assert emit_report(parsed, "machine") == data
+
+    def test_golden_reports_round_trip(self):
+        golden = sorted((Path(__file__).parent / "golden").glob("*.json"))
+        assert len(golden) == 27
+        for path in golden:
+            data = path.read_bytes()
+            assert emit_report(parse_machine_report(data), "machine") == data
+
+    @pytest.mark.parametrize("payload,field", [
+        (b'{"tool":"dcverify"}', "'results'"),
+        (b"[1,2]", "not a JSON object"),
+        (b'{"tool":"dcverify","command":"c","problem":"p","options":{},"flags":[],'
+         b'"results":[{"name":"n","params":{},"data":{}}]}', "'status'"),
+    ], ids=["no-results", "not-an-object", "result-without-status"])
+    def test_malformed_report_raises_value_error(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            parse_machine_report(payload)
 
     def test_unknown_format_rejected(self, report_4):
         with pytest.raises(ValueError):
