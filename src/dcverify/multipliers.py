@@ -5,8 +5,10 @@ rational unknowns (the components of the multiplier pair) with relations
 ``>=``, ``==`` and ``>``.  Strict relations are handled by a shared slack
 variable bounded by one and maximized with a deterministic two-phase simplex
 under Bland's rule; the strict system is satisfiable exactly when the
-optimal slack is positive.  Everything is Fraction arithmetic, so feasible
-assignments and certificate residuals are exact.
+optimal slack is positive.  The tableau rows are Python integers, each the
+exact row times a positive scale, and pivots are fraction-free; feasible
+assignments are read back as exact ``Fraction`` values, and every
+certificate's residuals are exact and checked before it is returned.
 
 On top of the core sit the theorem engines:
 
@@ -32,6 +34,7 @@ and excludes the zero functional.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -75,13 +78,16 @@ class Constraint:
         return sum((c * v for c, v in zip(self.coeffs, assignment)), Fraction(0))
 
     def holds(self, assignment: Sequence[Fraction]) -> bool:
-        v = self.value(assignment)
+        return self.residual_holds(self.value(assignment) - self.rhs)
+
+    def residual_holds(self, residual: Fraction) -> bool:
+        """Whether value - rhs = residual satisfies the relation."""
         if self.relation == "ge":
-            return v >= self.rhs
+            return residual >= 0
         if self.relation == "eq":
-            return v == self.rhs
+            return residual == 0
         if self.relation == "gt":
-            return v > self.rhs
+            return residual > 0
         raise ValueError(f"unknown relation {self.relation!r}")
 
 
@@ -111,44 +117,66 @@ class FeasibilityResult:
     def feasible(self) -> bool:
         return self.status == "Feasible"
 
-    def named(self, lfp: LinearFeasibilityProblem) -> dict[str, Fraction]:
-        assert self.assignment is not None
-        return dict(zip(lfp.variables, self.assignment))
+
+def _reduced(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries.  The loop stops at the
+    first unit gcd, and unlike ``math.gcd(*row)`` it copies no row into an
+    argument tuple, which left the heap larger on long runs."""
+    g = 0
+    for v in row:
+        if v:
+            g = math.gcd(g, v)
+            if g == 1:
+                return row
+    return [v // g for v in row] if g > 1 else row
 
 
-def _pivot(tableau: list[list[Fraction]], zrow: list[Fraction], basis: list[int],
-           i: int, j: int) -> None:
-    pv = tableau[i][j]
-    tableau[i] = [v / pv for v in tableau[i]]
-    for r in range(len(tableau)):
-        if r != i and tableau[r][j] != 0:
-            f = tableau[r][j]
-            tableau[r] = [a - f * b for a, b in zip(tableau[r], tableau[i])]
-    if zrow[j] != 0:
-        f = zrow[j]
-        zrow[:] = [a - f * b for a, b in zip(zrow, tableau[i])]
+def _pivot(tableau: list[list[int]], zrow: list[int], basis: list[int], i: int, j: int) -> None:
+    """Make column j basic in row i by fraction-free elimination.
+
+    A stored row is its tableau row times an implicit positive scale, so the
+    basic entry of a row is that scale.  With p = tableau[i][j] > 0 (row i is
+    negated first when p < 0), p * R - f * R_i clears column j of a row R
+    with entry f and keeps its scale positive; dividing out the gcd keeps the
+    integers small.  Signs, ratios and zero patterns are those of the
+    tableau, and they are all that the pivoting rules read.
+    """
+    prow = tableau[i]
+    p = prow[j]
+    if p < 0:
+        prow = tableau[i] = [-v for v in prow]
+        p = -p
+    for r, row in enumerate(tableau):
+        f = row[j]
+        if f and r != i:
+            tableau[r] = _reduced([p * a - f * b for a, b in zip(row, prow)])
+    f = zrow[j]
+    if f:
+        zrow[:] = _reduced([p * a - f * b for a, b in zip(zrow, prow)])
     basis[i] = j
 
 
-def _run_simplex(tableau: list[list[Fraction]], zrow: list[Fraction],
-                 basis: list[int], ncols: int) -> str:
+def _run_simplex(tableau: list[list[int]], zrow: list[int], basis: list[int], ncols: int) -> str:
     """Minimize with Bland's rule; zrow holds c_B B^-1 A - c and the
-    objective value (negated cost convention) in its last entry."""
+    objective value (negated cost convention) in its last entry.  The
+    leaving row has the least (rhs / entry, basic column), with ratios
+    compared by cross-multiplication."""
     while True:
         enter = next((j for j in range(ncols) if zrow[j] > 0), None)
         if enter is None:
             return "optimal"
-        best = None
-        for r in range(len(tableau)):
-            a = tableau[r][enter]
+        leave = None
+        for r, row in enumerate(tableau):
+            a = row[enter]
             if a > 0:
-                ratio = tableau[r][-1] / a
-                key = (ratio, basis[r])
-                if best is None or key < best[0]:
-                    best = (key, r)
-        if best is None:
+                if leave is not None:
+                    lhs, rhs = row[-1] * best_a, best_rhs * a
+                    if lhs > rhs or (lhs == rhs and basis[r] > basis[leave]):
+                        continue
+                leave, best_rhs, best_a = r, row[-1], a
+        if leave is None:
             return "unbounded"
-        _pivot(tableau, zrow, basis, best[1], enter)
+        _pivot(tableau, zrow, basis, leave, enter)
 
 
 def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
@@ -157,53 +185,53 @@ def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
     Free variables are split into nonnegative parts; every ``>`` constraint
     shares one slack variable (bounded by one) that is maximized after
     feasibility, and the strict system holds exactly when its optimum is
-    positive.
+    positive.  Tableau rows are integer lists (see ``_pivot``); the phase-1
+    artificial columns are not stored, because they never enter the basis.
+    A basic value is read back as the row's right-hand side over its basic
+    entry.
     """
     nvars = len(lfp.variables)
     has_strict = any(c.relation == "gt" for c in lfp.constraints)
     # column layout: P_0..P_{n-1}, N_0..N_{n-1}, [t, u], one surplus per inequality
     ncols = 2 * nvars + (2 if has_strict else 0)
     t_col = 2 * nvars if has_strict else None
-    surplus_count = sum(1 for c in lfp.constraints if c.relation in ("ge", "gt"))
-    first_surplus = ncols
-    ncols += surplus_count
+    surplus_col = ncols
+    ncols += sum(1 for c in lfp.constraints if c.relation in ("ge", "gt"))
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    surplus_used = 0
+    # each constraint row times its least common denominator, negated when
+    # the rhs is negative; dens[i] is that (positive) factor
+    tableau: list[list[int]] = []
+    dens: list[int] = []
     for c in lfp.constraints:
-        row = [Fraction(0)] * ncols
+        den = math.lcm(c.rhs.denominator, *(v.denominator for v in c.coeffs))
+        scale = -den if c.rhs < 0 else den
+        row = [0] * (ncols + 1)
         for k, coeff in enumerate(c.coeffs):
-            row[k] = coeff
-            row[nvars + k] = -coeff
+            row[k] = coeff.numerator * (scale // coeff.denominator)
+            row[nvars + k] = -row[k]
         if c.relation in ("ge", "gt"):
             if c.relation == "gt":
-                row[t_col] = Fraction(-1)
-            row[first_surplus + surplus_used] = Fraction(-1)
-            surplus_used += 1
-        rows.append(row)
-        rhs.append(Fraction(c.rhs))
+                row[t_col] = -scale
+            row[surplus_col] = -scale
+            surplus_col += 1
+        row[-1] = c.rhs.numerator * (scale // c.rhs.denominator)
+        tableau.append(row)
+        dens.append(den)
     if has_strict:
-        row = [Fraction(0)] * ncols
-        row[t_col] = Fraction(1)
-        row[t_col + 1] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
-    for r in range(len(rows)):
-        if rhs[r] < 0:
-            rows[r] = [-v for v in rows[r]]
-            rhs[r] = -rhs[r]
+        row = [0] * (ncols + 1)
+        row[t_col] = row[t_col + 1] = row[-1] = 1
+        tableau.append(row)
+        dens.append(1)
 
-    m = len(rows)
-    # phase 1: artificial identity basis, minimize the artificial sum
-    tableau = [rows[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-               + [rhs[i]] for i in range(m)]
+    m = len(tableau)
+    # phase 1: artificial identity basis, minimize the artificial sum, whose
+    # reduced costs are the column sums of the rows divided by their dens
     basis = [ncols + i for i in range(m)]
-    width = ncols + m
-    zrow = [Fraction(0)] * (width + 1)
-    for j in range(ncols):
-        zrow[j] = sum(tableau[i][j] for i in range(m))
-    zrow[-1] = sum(rhs)
+    common = math.lcm(*dens)
+    scaled = (row if d == common else [v * (common // d) for v in row]
+              for row, d in zip(tableau, dens))
+    zrow = _reduced([sum(col) for col in zip(*scaled)])
+    tableau = [_reduced(row) for row in tableau]
     if _run_simplex(tableau, zrow, basis, ncols) != "optimal":
         raise RuntimeError("phase-1 simplex cannot be unbounded")
     if zrow[-1] != 0:
@@ -218,25 +246,25 @@ def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
                 continue  # redundant row
             _pivot(tableau, zrow, basis, i, enter)
         keep.append(i)
-    tableau = [tableau[i][:ncols] + [tableau[i][-1]] for i in keep]
+    tableau = [tableau[i] for i in keep]
     basis = [basis[i] for i in keep]
 
     if has_strict:
-        # phase 2: maximize t, i.e. minimize -t
-        cost = [Fraction(0)] * ncols
-        cost[t_col] = Fraction(-1)
-        zrow = [Fraction(0)] * (ncols + 1)
-        for j in range(ncols + 1):
-            col = [tableau[i][j] for i in range(len(tableau))]
-            zrow[j] = sum(cost[basis[i]] * col[i] for i in range(len(tableau)))
-        for j in range(ncols):
-            zrow[j] -= cost[j]
+        # phase 2: maximize t, i.e. minimize -t; the reduced costs are minus
+        # the row of t off its basic entry, or the unit vector of t when t
+        # is nonbasic
+        if t_col in basis:
+            zrow = [-v for v in tableau[basis.index(t_col)]]
+            zrow[t_col] = 0
+        else:
+            zrow = [0] * (ncols + 1)
+            zrow[t_col] = 1
         if _run_simplex(tableau, zrow, basis, ncols) != "optimal":
             raise RuntimeError("bounded strict slack cannot be unbounded")
 
     values = [Fraction(0)] * ncols
-    for i, b in enumerate(basis):
-        values[b] = tableau[i][-1]
+    for row, b in zip(tableau, basis):
+        values[b] = Fraction(row[-1], row[b])
     assignment = tuple(values[k] - values[nvars + k] for k in range(nvars))
     slack = values[t_col] if has_strict else None
     if has_strict and slack <= 0:
@@ -287,10 +315,19 @@ class MultiplierCertificate:
 
 def _certificate(lfp: LinearFeasibilityProblem, result: FeasibilityResult,
                  y_dim: int, mode: str) -> MultiplierCertificate:
+    """The certificate of a feasible result, checked exactly: every residual
+    must satisfy its relation and the multipliers must not all vanish, so no
+    unverified multiplier verdict is reported."""
     assert result.assignment is not None
+    residuals = tuple(c.value(result.assignment) - c.rhs for c in lfp.constraints)
+    for c, residual in zip(lfp.constraints, residuals):
+        if not c.residual_holds(residual):
+            raise RuntimeError(f"multiplier assignment breaks the {c.label or 'unlabelled'} "
+                               f"row ({c.relation}, residual {format_rational(residual)})")
+    if not any(result.assignment):
+        raise RuntimeError("multiplier assignment is all zero")
     ystar = RationalVector(result.assignment[:y_dim])
     zstar = RationalVector(result.assignment[y_dim:])
-    residuals = tuple(c.value(result.assignment) - c.rhs for c in lfp.constraints)
     return MultiplierCertificate(ystar, zstar, residuals, mode, lfp)
 
 

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from dcverify import (
     BoxSet,
@@ -21,6 +22,11 @@ from dcverify import (
     VectorMap,
 )
 from dcverify.scenarios import load_scenario_problem
+
+# Property tests draw the same examples on every run, keep no example
+# database on disk, and have no per-example time limit.
+settings.register_profile("dcverify", derandomize=True, database=None, deadline=None)
+settings.load_profile("dcverify")
 
 
 @pytest.fixture(scope="session")

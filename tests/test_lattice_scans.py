@@ -158,8 +158,7 @@ def cases(draw):
     return vmap, draw(cones(out_dim)), grid, lams
 
 
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
+SETTINGS = settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 
 
 @SETTINGS

@@ -1,0 +1,255 @@
+"""Differential and property tests of the exact LP core.
+
+``solve_feasibility`` stores its tableau as integer rows and pivots without
+fractions.  The oracle below is the dense ``Fraction`` two-phase simplex it
+replaced, kept unchanged apart from the ``oracle_`` names: the same columns,
+artificials included, the same Bland entering and leaving rules.  Positive
+row scaling keeps every sign and ratio those rules read, so both solvers
+must return equal results, slack and assignment included.  Fourier-Motzkin
+elimination gives an independent feasibility answer for small systems.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dcverify import Constraint, LinearFeasibilityProblem, solve_feasibility
+from dcverify import multipliers
+from dcverify.multipliers import FeasibilityResult
+from dcverify.pareto import NeighborhoodSpec
+from dcverify.problem import GridSpec
+from dcverify.scenarios import check_results, load_scenario_problem
+
+
+# --- the dense Fraction solver, as the oracle ------------------------------
+
+
+def oracle_pivot(tableau: list[list[Fraction]], zrow: list[Fraction], basis: list[int],
+                 i: int, j: int) -> None:
+    pv = tableau[i][j]
+    tableau[i] = [v / pv for v in tableau[i]]
+    for r in range(len(tableau)):
+        if r != i and tableau[r][j] != 0:
+            f = tableau[r][j]
+            tableau[r] = [a - f * b for a, b in zip(tableau[r], tableau[i])]
+    if zrow[j] != 0:
+        f = zrow[j]
+        zrow[:] = [a - f * b for a, b in zip(zrow, tableau[i])]
+    basis[i] = j
+
+
+def oracle_run_simplex(tableau: list[list[Fraction]], zrow: list[Fraction],
+                       basis: list[int], ncols: int) -> str:
+    """Minimize with Bland's rule; zrow holds c_B B^-1 A - c and the
+    objective value (negated cost convention) in its last entry."""
+    while True:
+        enter = next((j for j in range(ncols) if zrow[j] > 0), None)
+        if enter is None:
+            return "optimal"
+        best = None
+        for r in range(len(tableau)):
+            a = tableau[r][enter]
+            if a > 0:
+                ratio = tableau[r][-1] / a
+                key = (ratio, basis[r])
+                if best is None or key < best[0]:
+                    best = (key, r)
+        if best is None:
+            return "unbounded"
+        oracle_pivot(tableau, zrow, basis, best[1], enter)
+
+
+def oracle_solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
+    """Deterministic exact solve.
+
+    Free variables are split into nonnegative parts; every ``>`` constraint
+    shares one slack variable (bounded by one) that is maximized after
+    feasibility, and the strict system holds exactly when its optimum is
+    positive.
+    """
+    nvars = len(lfp.variables)
+    has_strict = any(c.relation == "gt" for c in lfp.constraints)
+    # column layout: P_0..P_{n-1}, N_0..N_{n-1}, [t, u], one surplus per inequality
+    ncols = 2 * nvars + (2 if has_strict else 0)
+    t_col = 2 * nvars if has_strict else None
+    surplus_count = sum(1 for c in lfp.constraints if c.relation in ("ge", "gt"))
+    first_surplus = ncols
+    ncols += surplus_count
+
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    surplus_used = 0
+    for c in lfp.constraints:
+        row = [Fraction(0)] * ncols
+        for k, coeff in enumerate(c.coeffs):
+            row[k] = coeff
+            row[nvars + k] = -coeff
+        if c.relation in ("ge", "gt"):
+            if c.relation == "gt":
+                row[t_col] = Fraction(-1)
+            row[first_surplus + surplus_used] = Fraction(-1)
+            surplus_used += 1
+        rows.append(row)
+        rhs.append(Fraction(c.rhs))
+    if has_strict:
+        row = [Fraction(0)] * ncols
+        row[t_col] = Fraction(1)
+        row[t_col + 1] = Fraction(1)
+        rows.append(row)
+        rhs.append(Fraction(1))
+    for r in range(len(rows)):
+        if rhs[r] < 0:
+            rows[r] = [-v for v in rows[r]]
+            rhs[r] = -rhs[r]
+
+    m = len(rows)
+    # phase 1: artificial identity basis, minimize the artificial sum
+    tableau = [rows[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+               + [rhs[i]] for i in range(m)]
+    basis = [ncols + i for i in range(m)]
+    width = ncols + m
+    zrow = [Fraction(0)] * (width + 1)
+    for j in range(ncols):
+        zrow[j] = sum(tableau[i][j] for i in range(m))
+    zrow[-1] = sum(rhs)
+    if oracle_run_simplex(tableau, zrow, basis, ncols) != "optimal":
+        raise RuntimeError("phase-1 simplex cannot be unbounded")
+    if zrow[-1] != 0:
+        return FeasibilityResult("Infeasible")
+
+    # drive leftover artificials out of the basis; drop redundant rows
+    keep = []
+    for i in range(m):
+        if basis[i] >= ncols:
+            enter = next((j for j in range(ncols) if tableau[i][j] != 0), None)
+            if enter is None:
+                continue  # redundant row
+            oracle_pivot(tableau, zrow, basis, i, enter)
+        keep.append(i)
+    tableau = [tableau[i][:ncols] + [tableau[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    if has_strict:
+        # phase 2: maximize t, i.e. minimize -t
+        cost = [Fraction(0)] * ncols
+        cost[t_col] = Fraction(-1)
+        zrow = [Fraction(0)] * (ncols + 1)
+        for j in range(ncols + 1):
+            col = [tableau[i][j] for i in range(len(tableau))]
+            zrow[j] = sum(cost[basis[i]] * col[i] for i in range(len(tableau)))
+        for j in range(ncols):
+            zrow[j] -= cost[j]
+        if oracle_run_simplex(tableau, zrow, basis, ncols) != "optimal":
+            raise RuntimeError("bounded strict slack cannot be unbounded")
+
+    values = [Fraction(0)] * ncols
+    for i, b in enumerate(basis):
+        values[b] = tableau[i][-1]
+    assignment = tuple(values[k] - values[nvars + k] for k in range(nvars))
+    slack = values[t_col] if has_strict else None
+    if has_strict and slack <= 0:
+        return FeasibilityResult("Infeasible", strict_slack=slack)
+    return FeasibilityResult("Feasible", assignment, slack)
+
+
+# --- brute force for small systems -----------------------------------------
+
+
+def fourier_motzkin_feasible(lfp: LinearFeasibilityProblem) -> bool:
+    """Whether some real point satisfies every row, by eliminating the
+    variables one at a time.  A row is (a, strict, b) for a.x >= b, or
+    a.x > b when strict; a combination is strict when either part is."""
+    rows = []
+    for c in lfp.constraints:
+        a = list(c.coeffs)
+        if c.relation == "eq":
+            rows += [(a, False, c.rhs), ([-v for v in a], False, -c.rhs)]
+        else:
+            rows.append((a, c.relation == "gt", c.rhs))
+    for k in range(len(lfp.variables)):
+        pos = [r for r in rows if r[0][k] > 0]
+        neg = [r for r in rows if r[0][k] < 0]
+        combined = {}
+        for a, strict, b in [r for r in rows if r[0][k] == 0]:
+            combined[(tuple(a), b)] = combined.get((tuple(a), b), False) or strict
+        for ap, sp, bp in pos:
+            for an, sn, bn in neg:
+                mp, mn = -an[k], ap[k]
+                key = (tuple(mp * u + mn * v for u, v in zip(ap, an)), mp * bp + mn * bn)
+                combined[key] = combined.get(key, False) or sp or sn
+        rows = [(list(a), strict, b) for (a, b), strict in combined.items()]
+    return all(0 > b if strict else 0 >= b for _, strict, b in rows)
+
+
+# --- generated systems -----------------------------------------------------
+
+small = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+rhs_values = st.one_of(st.just(Fraction(0)), small)
+
+
+@st.composite
+def systems(draw, max_vars=4):
+    n = draw(st.integers(1, max_vars))
+    rows = draw(st.lists(
+        st.builds(Constraint, st.tuples(*[small] * n),
+                  st.sampled_from(("ge", "ge", "eq", "gt")), rhs_values),
+        min_size=1, max_size=12))
+    return LinearFeasibilityProblem(tuple(f"v{k}" for k in range(n)), tuple(rows))
+
+
+@given(systems())
+def test_integer_core_matches_fraction_oracle(lfp):
+    result = solve_feasibility(lfp)
+    assert result == oracle_solve_feasibility(lfp)
+    if result.feasible:
+        assert all(c.holds(result.assignment) for c in lfp.constraints)
+
+
+@given(systems(max_vars=2))
+def test_status_agrees_with_fourier_motzkin(lfp):
+    assert solve_feasibility(lfp).feasible == fourier_motzkin_feasible(lfp)
+
+
+def test_generated_systems_reach_both_statuses():
+    """The strategy is not degenerate: it yields feasible and infeasible
+    systems, with and without strict rows."""
+    seen = set()
+
+    @given(systems())
+    def collect(lfp):
+        strict = any(c.relation == "gt" for c in lfp.constraints)
+        seen.add((solve_feasibility(lfp).feasible, strict))
+
+    collect()
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# --- the systems the multiplier engines build ------------------------------
+
+
+@pytest.mark.parametrize("name", ["example-3-1", "example-4-1"])
+def test_engine_systems_match_fraction_oracle(name, monkeypatch):
+    """Every LP that the alternative, sufficient and necessary checks solve
+    on a shipped problem gets the oracle's result."""
+    solved = []
+
+    def compare(lfp):
+        result = solve_feasibility(lfp)
+        assert result == oracle_solve_feasibility(lfp)
+        solved.append(result.status)
+        return result
+
+    monkeypatch.setattr(multipliers, "solve_feasibility", compare)
+    parsed = load_scenario_problem(name)
+    U = NeighborhoodSpec(parsed.options.radius)
+    grid = GridSpec(parsed.problem.C, 21)
+    check_results("alternative", parsed, U, grid)
+    for kind in ("sufficient", "necessary"):
+        for mode in (multipliers.MODE_CORRECTED, multipliers.MODE_LEGACY):
+            for target in (multipliers.TARGET_WEAK, multipliers.TARGET_PROPER):
+                check_results(kind, parsed, U, grid, mode=mode, target=target)
+    assert "Feasible" in solved

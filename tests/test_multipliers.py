@@ -24,7 +24,7 @@ from dcverify import (
     solve_feasibility,
     sufficient_condition,
 )
-from dcverify.multipliers import SolverLimitError
+from dcverify.multipliers import FeasibilityResult, SolverLimitError, _certificate
 from conftest import scalar_map, scalar_problem
 
 V = RationalVector.of
@@ -284,3 +284,22 @@ class TestCertificates:
                                   GridSpec(p.C, 41))
         with pytest.raises(ValueError):
             out.certificate.verify(scale=0)
+
+    @pytest.mark.parametrize("assignment", [(F(-1), F(1)), (F(1, 2), F(1, 4)), (F(0), F(0))],
+                             ids=["breaks-ge", "breaks-eq", "all-zero"])
+    def test_certificate_refuses_unverified_assignment(self, assignment):
+        lfp = LinearFeasibilityProblem(("y0", "z0"), (
+            Constraint((F(1), F(0)), "ge", F(0), "ystar-dual-cone"),
+            Constraint((F(1), F(1)), "eq", F(1), "scale-fixing"),
+            Constraint((F(0), F(0)), "ge", F(0), "trivial"),
+        ))
+        with pytest.raises(RuntimeError):
+            _certificate(lfp, FeasibilityResult("Feasible", assignment), 1, "test")
+
+    def test_certificate_of_solver_result_is_checked(self):
+        lfp = LinearFeasibilityProblem(("y0", "z0"), (
+            Constraint((F(1), F(0)), "gt", F(0), "ystar-nonzero"),
+            Constraint((F(1), F(1)), "eq", F(1), "scale-fixing"),
+        ))
+        cert = _certificate(lfp, solve_feasibility(lfp), 1, "test")
+        assert cert.verify() and cert.residuals[1] == 0 and cert.residuals[0] > 0
