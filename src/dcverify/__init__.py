@@ -9,7 +9,6 @@ from .cones import (
     cone_contains,
     dual_cone,
     format_rational,
-    linearity,
     nonnegative_orthant,
     order_relation,
     parse_rational,

@@ -15,7 +15,7 @@ Supported queries:
 * the dual cone via extreme-ray enumeration (``dual_cone``),
 * strict-polar membership (``strict_polar_contains``),
 * the lineality space, i.e. the largest subspace inside the cone
-  (``linearity``).
+  (``PolyhedralCone.lineality_basis``).
 
 Extreme rays are enumerated with an incremental double-description pass over
 the halfspaces followed by an exact rank filter, which is valid in the small
@@ -498,11 +498,6 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
     if not cone.halfspaces:
         raise ConeError("dual of the full space is the zero cone, which has no nonzero generators")
     return PolyhedralCone.from_generators(cone.halfspaces)
-
-
-def linearity(cone: PolyhedralCone) -> list[RationalVector]:
-    """Basis of the largest subspace contained in the cone (K intersect -K)."""
-    return list(cone.lineality_basis)
 
 
 def strict_polar_contains(cone: PolyhedralCone, ystar: RationalVector) -> bool:

@@ -12,15 +12,33 @@ with d the max-norm, which keeps the right-hand side rational and every
 comparison exact.  The interior-eps quantifier can only be sampled, so the
 positive verdict is "NotFalsified" for the sampled eps list; falsification
 is exact and carries the radius-exhaustion trace and a witness point.
+
+The check evaluates once per radius, not once per (eps, radius) scan.  Each
+radius's ball grid is built the first time a scan reaches that radius, and
+each of its points gets one row the first time a scan reaches the point:
+for every (T, T*) pair, the pairings <a, (T - T*)(x - xbar)> / d(x, xbar)
+with each halfspace normal a of the cone, as integers over one positive
+scale per pair.  The rows a^T T* of the base operators are formed once per
+call.  Since a pair satisfies the inequality at x exactly when each of its
+pairings is at most <a, eps>, an eps sample is tested by integer
+comparisons alone.  The scan order, and with it the first violator in
+lexicographic order for each (eps, radius), is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .cones import PolyhedralCone, RationalVector, as_fraction, cone_contains
+from .cones import (
+    DimensionMismatchError,
+    PolyhedralCone,
+    RationalVector,
+    as_fraction,
+    cone_contains,
+)
 from .problem import BoxSet, GridSpec, Monomial, VectorMap, _eval_poly
 from .subdiff import LinearOperator
 
@@ -126,7 +144,8 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
                                     grid_template: GridSpec | None = None) -> DissipativityVerdict:
     """Search, per eps sample, for a neighborhood radius whose whole grid
     admits a satisfying operator pair; falsified when the smallest radius
-    still contains a violating point for some eps.
+    still contains a violating point for some eps.  The per-radius tables
+    are described in the module docstring.
     """
     if eps_samples is None:
         eps_samples = default_eps_samples(cone)
@@ -142,36 +161,78 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
         raise ValueError("radii must be strictly decreasing")
     points_per_axis = grid_template.points_per_axis if grid_template is not None else 33
 
-    base_ops = field.operators_at(xbar)
+    # primitive integer normals, as (coordinate, coefficient) for each
+    # nonzero coefficient
+    normals = [[(i, int(c)) for i, c in enumerate(a.coords) if c] for a in cone.halfspaces]
 
-    def violator(eps: RationalVector, radius: Fraction) -> RationalVector | None:
-        ball = BoxSet(
-            RationalVector(tuple(c - radius for c in xbar.coords)),
-            RationalVector(tuple(c + radius for c in xbar.coords)),
-        )
-        grid = GridSpec(ball, points_per_axis)
-        for x in grid.points(extra=field.exception_points() + [xbar]):
-            step = x - xbar
-            bound = eps.scale(step.max_norm())
-            ok = False
-            for T in field.operators_at(x):
-                for Tstar in base_ops:
-                    moved = T.apply(step) - Tstar.apply(step)
-                    if cone_contains(cone, bound - moved):
-                        ok = True
-                        break
-                if ok:
-                    break
-            if not ok:
+    def functionals(op: LinearOperator) -> tuple[int, list[list[int]]]:
+        """(E, rows): E * a^T op for each halfspace normal a, as int rows,
+        with E > 0 the least common denominator of the operator."""
+        if op.in_dim != xbar.dim or op.out_dim != cone.dim:
+            raise DimensionMismatchError(
+                f"operator of shape {op.out_dim}x{op.in_dim} vs domain dim {xbar.dim} "
+                f"and cone dim {cone.dim}")
+        scale = lcm(*(v.denominator for row in op.matrix for v in row))
+        ints = [[v.numerator * (scale // v.denominator) for v in row] for row in op.matrix]
+        return scale, [[sum(c * ints[i][j] for i, c in a) for j in range(op.in_dim)]
+                       for a in normals]
+
+    base = [functionals(Tstar) for Tstar in field.operators_at(xbar)]
+
+    def pairings(x: RationalVector) -> list[tuple[int, tuple[int, ...]]] | None:
+        """One (D, pairs) per (T, T*) pair: pairs holds D * <a, (T - T*)(x -
+        xbar)> / d(x, xbar) for each normal a, as ints, with D > 0.  None
+        at xbar, where every pair satisfies every eps."""
+        step = (x - xbar).coords
+        # the step times the lcm of its denominators: the pairings and the
+        # distance scale alike, so their ratio is unchanged
+        q = lcm(*(s.denominator for s in step))
+        ints = [s.numerator * (q // s.denominator) for s in step]
+
+        def applied(scaled: tuple[int, list[list[int]]]) -> tuple[int, list[int]]:
+            scale, rows = scaled
+            return scale, [sum(c * s for c, s in zip(row, ints)) for row in rows]
+
+        at_x = [applied(functionals(T)) for T in field.operators_at(x)]
+        d = max(map(abs, ints))
+        if d == 0:
+            return None
+        at_base = [applied(rows) for rows in base]
+        return [(sx * sb * d, tuple(sb * t - sx * u for t, u in zip(tx, ub)))
+                for sx, tx in at_x for sb, ub in at_base]
+
+    extra = field.exception_points() + [xbar]
+    tables: dict[Fraction, tuple[list[RationalVector], list]] = {}
+
+    def violator(bounds: list[int], den: int, radius: Fraction) -> RationalVector | None:
+        """The first point in lexicographic order with no pair satisfying
+        eps, given as <a, eps> = bounds[a] / den."""
+        if radius not in tables:
+            ball = BoxSet(
+                RationalVector(tuple(c - radius for c in xbar.coords)),
+                RationalVector(tuple(c + radius for c in xbar.coords)),
+            )
+            tables[radius] = (GridSpec(ball, points_per_axis).points(extra=extra), [])
+        points, rows = tables[radius]
+        for k, x in enumerate(points):
+            if k == len(rows):
+                rows.append(pairings(x))
+            pairs = rows[k]
+            if pairs is not None and not any(
+                    all(p * den <= e * scale for p, e in zip(pair, bounds))
+                    for scale, pair in pairs):
                 return x
         return None
 
     evidence: list[EpsEvidence] = []
     for eps in eps_samples:
+        pairing = [sum(c * eps[i] for i, c in a) for a in normals]
+        den = lcm(*(e.denominator for e in pairing))
+        bounds = [e.numerator * (den // e.denominator) for e in pairing]
         trials: list[RadiusTrial] = []
         certified: Fraction | None = None
         for radius in radii:
-            w = violator(eps, radius)
+            w = violator(bounds, den, radius)
             trials.append(RadiusTrial(radius, w))
             if w is None:
                 certified = radius

@@ -255,6 +255,13 @@ def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
         # is nonbasic
         if t_col in basis:
             zrow = [-v for v in tableau[basis.index(t_col)]]
+            # no pivot depends on this entry: while t is basic the objective
+            # row is minus t's row off its basic entry, so a column enters
+            # only where t's row is negative and that row never leaves; t
+            # stays basic, and its entry, left at minus the row's scale,
+            # would stay negative and change only the positive factor that
+            # _reduced divides out.  It is zeroed so that zrow holds
+            # c_B B^-1 A - c exactly, as _run_simplex says
             zrow[t_col] = 0
         else:
             zrow = [0] * (ncols + 1)

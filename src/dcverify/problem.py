@@ -20,7 +20,8 @@ always carries an exact witness that re-checks by direct evaluation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from functools import reduce
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -42,14 +43,19 @@ DEFAULT_LAMBDAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
 def _eval_poly(monomials: Sequence[Monomial], x: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
+    """Exact value, summed as an int numerator over the lcm of the term
+    denominators, with one reduction at the end."""
+    num, den = 0, 1
     for exponents, coeff in monomials:
-        term = coeff
+        n, d = coeff.numerator, coeff.denominator
         for xi, e in zip(x, exponents):
             if e:
-                term *= xi ** e
-        total += term
-    return total
+                n *= xi.numerator ** e
+                d *= xi.denominator ** e
+        g = gcd(den, d)
+        num = num * (d // g) + n * (den // g)
+        den *= d // g
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -149,10 +155,17 @@ class BoxSet:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Exact rational grid: affine subdivisions of a box, points per axis."""
+    """Exact rational grid: affine subdivisions of a box, points per axis.
+
+    Each distinct point list is built once per instance and kept, keyed by
+    the extra points that fall inside the box, for as long as the instance
+    lives; every caller gets its own copy of the list.
+    """
 
     box: BoxSet
     points_per_axis: int
+    _lists: dict[frozenset, list[RationalVector]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.points_per_axis < 2:
@@ -170,12 +183,21 @@ class GridSpec:
     def points(self, extra: Iterable[RationalVector] = ()) -> list[RationalVector]:
         """All grid points in lexicographic order, merged with any extra
         points that fall inside the box (exceptional points, base points)."""
-        axes = [self.axis_points(i) for i in range(self.box.dim)]
-        pts = {tuple(combo) for combo in itertools.product(*axes)}
-        for p in extra:
-            if p.dim == self.box.dim and self.box.contains(p):
-                pts.add(p.coords)
-        return [RationalVector(c) for c in sorted(pts)]
+        inside = frozenset(p.coords for p in extra
+                           if p.dim == self.box.dim and self.box.contains(p))
+        pts = self._lists.get(inside)
+        if pts is None:
+            pts = self._lists[inside] = self._build(inside)
+        return list(pts)
+
+    def _build(self, inside: frozenset) -> list[RationalVector]:
+        # every axis ascends, so the product is already in lexicographic order
+        coords = list(itertools.product(*(self.axis_points(i) for i in range(self.box.dim))))
+        for c in sorted(inside):
+            k = bisect_left(coords, c)
+            if k == len(coords) or coords[k] != c:
+                coords.insert(k, c)
+        return [RationalVector(c) for c in coords]
 
 
 @dataclass(frozen=True)

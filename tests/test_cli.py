@@ -143,6 +143,33 @@ class TestScenarioSteps:
         assert matched == {"example-3-1": 5, "example-4-1": 3}[name]
 
 
+class TestNoStateAcrossCommands:
+    def test_second_problem_reports_as_if_run_first(self, capsysbinary, tmp_path):
+        """Problem B, with the box and grid of problem A but other maps and
+        another xbar, reports the same bytes after A has run in the same
+        process as it does first in a fresh one."""
+        text = files("dcverify").joinpath("problems", "example_3_1.problem").read_text("utf-8")
+        first, second = tmp_path / "a.problem", tmp_path / "b.problem"
+        other = (text.replace("poly 0 = 1 2\npoly 1 = 2 2", "poly 0 = 1 2, -1 1\npoly 1 = 3 3")
+                 .replace("xbar = 0", "xbar = 1/4"))
+        assert "poly 1 = 3 3" in other and "xbar = 1/4" in other
+        first.write_text(text, encoding="utf-8")
+        second.write_text(other, encoding="utf-8")
+        kinds = ("dissipative", "weak-min")
+
+        def argv(path, kind):
+            return ["check", kind, "--problem", str(path), "--grid", "21", "--format", "machine"]
+
+        fresh = [subprocess.run([sys.executable, "-m", "dcverify.cli", *argv(second, kind)],
+                                capture_output=True, timeout=300, check=True).stdout
+                 for kind in kinds]
+        before = [run_main(capsysbinary, argv(first, kind)) for kind in kinds]
+        after = [run_main(capsysbinary, argv(second, kind)) for kind in kinds]
+        assert after == fresh
+        assert all(json.loads(a)["results"] != json.loads(b)["results"]
+                   for a, b in zip(before, after))
+
+
 class TestEntryPoint:
     def test_module_invocation(self, problem_path):
         proc = subprocess.run(

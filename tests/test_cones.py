@@ -13,7 +13,6 @@ from dcverify import (
     RationalVector,
     cone_contains,
     dual_cone,
-    linearity,
     nonnegative_orthant,
     order_relation,
     parse_rational,
@@ -175,21 +174,21 @@ class TestStrictPolar:
 
 class TestLinearity:
     def test_pointed_cone_empty_basis(self):
-        assert linearity(nonnegative_orthant(2)) == []
+        assert list(nonnegative_orthant(2).lineality_basis) == []
 
     def test_halfplane_basis(self):
         halfplane = PolyhedralCone.from_generators([V(1, 0), V(-1, 0), V(0, 1)])
-        assert [b.primitive() for b in linearity(halfplane)] == [V(1, 0)]
+        assert [b.primitive() for b in halfplane.lineality_basis] == [V(1, 0)]
 
     def test_full_plane_basis_dimension(self):
         full = PolyhedralCone.from_generators([V(1, 0), V(-1, 0), V(0, 1), V(0, -1)])
-        assert len(linearity(full)) == 2
+        assert len(full.lineality_basis) == 2
 
     def test_lineality_vectors_are_two_sided_members(self):
         rng = random.Random(17)
         for _ in range(25):
             cone = random_cone(rng, 3)
-            for b in linearity(cone):
+            for b in cone.lineality_basis:
                 assert cone_contains(cone, b) and cone_contains(cone, -b)
 
 

@@ -1,19 +1,42 @@
-"""Approximate pseudo-dissipativity sampling verdicts."""
+"""Approximate pseudo-dissipativity sampling verdicts.
 
+The engine keeps one ball grid per radius and one row of halfspace
+pairings per point.  The oracle at the end of this file is the engine it
+replaced, which rebuilt the grid and re-evaluated every operator for each
+(eps, radius) scan; it is kept unchanged apart from the ``oracle_`` name,
+and both must return equal verdicts, evidence trails included.
+"""
+
+from collections import Counter
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dcverify import (
     BoxSet,
+    ConeError,
     GridSpec,
     LinearOperator,
     OperatorField,
     PolyhedralCone,
     RationalVector,
     check_approx_pseudo_dissipative,
+    cone_contains,
     gradient_field,
+    nonnegative_orthant,
 )
+from dcverify.cones import as_fraction
+from dcverify.dissipativity import (
+    DEFAULT_RADII,
+    DissipativityVerdict,
+    EpsEvidence,
+    RadiusTrial,
+    default_eps_samples,
+)
+from dcverify.scenarios import run_scenario
 
 V = RationalVector.of
 RAY = PolyhedralCone.from_generators([V(1)])
@@ -129,3 +152,208 @@ class TestValidationAndInvariants:
     def test_field_requires_nonempty_operator_lists(self):
         with pytest.raises(ValueError):
             OperatorField(1, 1, formulas=(), exceptions=((V(0), ()),))
+
+
+# --- work counts -------------------------------------------------------------
+
+
+@pytest.fixture()
+def grid_builds(monkeypatch):
+    """Every point list a GridSpec builds, as (grid, in-box extras); the
+    list keeps each grid alive, so identities stay distinct."""
+    builds = []
+    build = GridSpec._build
+
+    def spy(grid, inside):
+        builds.append((grid, inside))
+        return build(grid, inside)
+
+    monkeypatch.setattr(GridSpec, "_build", spy)
+    return builds
+
+
+class TestWorkCounts:
+    def test_one_ball_grid_per_distinct_radius(self, quartic_quadratic, grid_builds):
+        p = quartic_quadratic.problem
+        verdict = check_approx_pseudo_dissipative(gradient_field(p.G), p.xbar, p.K,
+                                                  grid_template=GridSpec(p.C, 101))
+        trials = [t.radius for ev in verdict.evidence for t in ev.trials]
+        assert len(trials) == 14
+        assert sorted(grid.box.upper[0] for grid, _ in grid_builds) == sorted(set(trials))
+        assert len(grid_builds) == 4
+
+    def test_scenario_builds_each_point_list_once(self, grid_builds):
+        run_scenario("example-3-1")
+        per_grid = Counter((id(grid), inside) for grid, inside in grid_builds)
+        assert max(per_grid.values()) == 1
+        # the problem grid's two lists (no extras; xbar), then the ball grids
+        # of grad-G (4 radii) and grad-S (the first radius certifies)
+        assert len(grid_builds) == 7
+
+
+# --- the replaced engine, as the oracle ------------------------------------
+
+
+def oracle_check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
+                                           cone: PolyhedralCone,
+                                           eps_samples: Sequence[RationalVector] | None = None,
+                                           radii: Sequence[Fraction] | None = None,
+                                           grid_template: GridSpec | None = None) -> DissipativityVerdict:
+    """Search, per eps sample, for a neighborhood radius whose whole grid
+    admits a satisfying operator pair; falsified when the smallest radius
+    still contains a violating point for some eps.
+    """
+    if eps_samples is None:
+        eps_samples = default_eps_samples(cone)
+    for eps in eps_samples:
+        if not cone_contains(cone, eps, strict=True):
+            raise ValueError(f"eps sample {eps} is not strictly interior to the cone")
+    if radii is None:
+        radii = DEFAULT_RADII
+    radii = [as_fraction(r) for r in radii]
+    if not radii or any(r <= 0 for r in radii):
+        raise ValueError("radii must be positive")
+    if any(a <= b for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly decreasing")
+    points_per_axis = grid_template.points_per_axis if grid_template is not None else 33
+
+    base_ops = field.operators_at(xbar)
+
+    def violator(eps: RationalVector, radius: Fraction) -> RationalVector | None:
+        ball = BoxSet(
+            RationalVector(tuple(c - radius for c in xbar.coords)),
+            RationalVector(tuple(c + radius for c in xbar.coords)),
+        )
+        grid = GridSpec(ball, points_per_axis)
+        for x in grid.points(extra=field.exception_points() + [xbar]):
+            step = x - xbar
+            bound = eps.scale(step.max_norm())
+            ok = False
+            for T in field.operators_at(x):
+                for Tstar in base_ops:
+                    moved = T.apply(step) - Tstar.apply(step)
+                    if cone_contains(cone, bound - moved):
+                        ok = True
+                        break
+                if ok:
+                    break
+            if not ok:
+                return x
+        return None
+
+    evidence: list[EpsEvidence] = []
+    for eps in eps_samples:
+        trials: list[RadiusTrial] = []
+        certified: Fraction | None = None
+        for radius in radii:
+            w = violator(eps, radius)
+            trials.append(RadiusTrial(radius, w))
+            if w is None:
+                certified = radius
+                break
+        evidence.append(EpsEvidence(eps, certified, tuple(trials)))
+        if certified is None:
+            return DissipativityVerdict(
+                "Falsified", tuple(evidence), eps=eps, witness=trials[-1].witness,
+            )
+    return DissipativityVerdict("NotFalsified", tuple(evidence))
+
+
+# --- generated instances -----------------------------------------------------
+
+small = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 4]))
+RADII_CHOICES = (None, (Fraction(1, 2), Fraction(1, 8)), (Fraction(1),),
+                 (Fraction(1, 3), Fraction(1, 9), Fraction(1, 27)))
+
+
+@st.composite
+def cones(draw, dim):
+    if draw(st.booleans()):
+        return nonnegative_orthant(dim)
+    vectors = st.tuples(*[st.integers(-3, 3)] * dim).filter(any)
+    gens = draw(st.lists(vectors, min_size=dim, max_size=dim + 2))
+    try:
+        cone = PolyhedralCone.from_generators([RationalVector.from_values(g) for g in gens])
+    except ConeError:
+        cone = nonnegative_orthant(dim)
+    return cone if cone.full_dimensional else nonnegative_orthant(dim)
+
+
+def operators(out_dim, in_dim):
+    return st.builds(lambda rows: LinearOperator(tuple(map(tuple, rows))),
+                     st.lists(st.lists(small, min_size=in_dim, max_size=in_dim),
+                              min_size=out_dim, max_size=out_dim))
+
+
+@st.composite
+def instances(draw):
+    """(field, xbar, cone, eps samples, radii, template): 1-D or 2-D domains,
+    1-2 operator formulas of degree at most 2, exceptions at ball-grid
+    points, at xbar and off the grid, cones of dimension 1-3."""
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 3))
+    points_per_axis = draw(st.sampled_from([3, 5]) if n == 2 else st.sampled_from([3, 5, 9]))
+    radii = draw(st.sampled_from(RADII_CHOICES))
+    xbar = RationalVector(tuple(draw(st.lists(small, min_size=n, max_size=n))))
+    monomial = st.tuples(st.tuples(*[st.integers(0, 2)] * n), small)
+    entry = st.lists(monomial, max_size=2).map(tuple)
+    formula = st.lists(st.lists(entry, min_size=n, max_size=n).map(tuple),
+                       min_size=m, max_size=m).map(tuple)
+    formulas = tuple(draw(st.lists(formula, min_size=1, max_size=2)))
+    # exception sites: ball-grid points of a listed radius, xbar, off-grid points
+    scan_radii = radii or DEFAULT_RADII
+    sites = {}
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["grid", "xbar", "off"]))
+        if kind == "xbar":
+            point = xbar
+        elif kind == "grid":
+            r = draw(st.sampled_from(scan_radii))
+            ks = draw(st.lists(st.integers(0, points_per_axis - 1), min_size=n, max_size=n))
+            point = RationalVector(tuple(c - r + 2 * r * k / (points_per_axis - 1)
+                                         for c, k in zip(xbar.coords, ks)))
+        else:
+            offsets = draw(st.lists(st.sampled_from([Fraction(1, 7), Fraction(-2, 9)]),
+                                    min_size=n, max_size=n))
+            point = RationalVector(tuple(c + o for c, o in zip(xbar.coords, offsets)))
+        sites[point.coords] = tuple(draw(st.lists(operators(m, n), min_size=1, max_size=2)))
+    field = OperatorField(n, m, formulas,
+                          tuple((RationalVector(p), ops) for p, ops in sites.items()))
+    cone = draw(cones(m))
+    eps_samples = None
+    if draw(st.booleans()):
+        w = cone.interior_point()
+        eps_samples = [w.scale(draw(st.sampled_from([Fraction(4), Fraction(1, 2),
+                                                     Fraction(1, 16), Fraction(1, 64)])))
+                       for _ in range(draw(st.integers(1, 3)))]
+    return field, xbar, cone, eps_samples, radii, GridSpec(BoxSet(xbar, xbar), points_per_axis)
+
+
+def _outcome(engine, instance):
+    try:
+        return engine(*instance)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(instances())
+def test_tables_match_rescanning_oracle(instance):
+    assert (_outcome(check_approx_pseudo_dissipative, instance)
+            == _outcome(oracle_check_approx_pseudo_dissipative, instance))
+
+
+def test_generated_instances_reach_both_verdicts():
+    """The strategy is not degenerate: it yields falsified and not-falsified
+    fields, with and without exceptions and custom eps lists."""
+    seen = set()
+
+    @given(instances())
+    def collect(instance):
+        field, _, _, eps_samples, _, _ = instance
+        verdict = check_approx_pseudo_dissipative(*instance)
+        seen.add((verdict.status, bool(field.exceptions), eps_samples is not None))
+
+    collect()
+    assert {status for status, _, _ in seen} == {"Falsified", "NotFalsified"}
+    assert {(exc, custom) for _, exc, custom in seen} == {(False, False), (False, True),
+                                                          (True, False), (True, True)}

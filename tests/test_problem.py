@@ -1,9 +1,12 @@
 """Map evaluation, feasibility, and the convexity/convexlike verdicts."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dcverify import (
     BoxSet,
@@ -18,6 +21,7 @@ from dcverify import (
     feasible_contains,
     nonnegative_orthant,
 )
+from dcverify.problem import _eval_poly
 from conftest import scalar_map
 
 V = RationalVector.of
@@ -46,6 +50,20 @@ class TestEvaluate:
         x = V("22/7")
         assert vmap.evaluate(x) == vmap.evaluate(x)
         assert vmap.evaluate(x)[0] == Fraction(3, 7) * Fraction(22, 7) ** 2 - Fraction(1, 5)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(st.tuples(*[st.integers(0, 4)] * n),
+                           st.fractions(max_denominator=12)), max_size=6),
+        st.lists(st.fractions(max_denominator=60), min_size=n, max_size=n))))
+    def test_integer_sum_matches_term_by_term_fractions(self, case):
+        monomials, x = case
+        expected = Fraction(0)
+        for exponents, coeff in monomials:
+            term = coeff
+            for xi, e in zip(x, exponents):
+                term *= xi ** e
+            expected += term
+        assert _eval_poly(monomials, x) == expected
 
     def test_distinct_exception_points_enforced(self):
         with pytest.raises(ValueError):
@@ -104,6 +122,28 @@ class TestGridSpec:
     def test_minimum_two_points(self):
         with pytest.raises(ValueError):
             GridSpec(box1(0, 1), 1)
+
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(st.fractions(-2, 2, max_denominator=4),
+                           st.fractions(0, 2, max_denominator=3)), min_size=n, max_size=n),
+        st.integers(2, 5),
+        st.lists(st.lists(st.fractions(-3, 3, max_denominator=6), min_size=n, max_size=n)
+                 | st.lists(st.fractions(max_denominator=6), min_size=1, max_size=3),
+                 max_size=4))))
+    def test_points_match_sorted_union(self, case):
+        """Each call equals the sorted union of the grid and the in-box
+        extras, repeated calls included, and returns a list of its own."""
+        axes, n, extra = case
+        box = BoxSet(RationalVector(tuple(lo for lo, _ in axes)),
+                     RationalVector(tuple(lo + width for lo, width in axes)))
+        grid = GridSpec(box, n)
+        extra = [RationalVector(tuple(c)) for c in extra]
+        expected = sorted(set(itertools.product(*(grid.axis_points(i) for i in range(box.dim))))
+                          | {p.coords for p in extra if p.dim == box.dim and box.contains(p)})
+        first = grid.points(extra=extra)
+        first.clear()
+        assert [p.coords for p in grid.points(extra=extra)] == expected
+        assert [p.coords for p in grid.points(extra=reversed(extra))] == expected
 
 
 class TestConeConvex:
