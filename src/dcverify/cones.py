@@ -17,10 +17,10 @@ Supported queries:
 * the lineality space, i.e. the largest subspace inside the cone
   (``PolyhedralCone.lineality_basis``).
 
-Extreme rays are enumerated with an incremental double-description pass over
-the halfspaces followed by an exact rank filter, which is valid in the small
-ambient dimensions this toolkit targets (2 to 4).  Higher dimensions are
-rejected at construction.
+Extreme rays are enumerated by an incremental double-description pass over
+the halfspaces that keeps the lineality basis apart from the rays and
+combines only adjacent ray pairs, so it yields one ray per extreme-ray class
+with no rank test.  Ambient dimensions above 4 are rejected at construction.
 """
 
 from __future__ import annotations
@@ -240,88 +240,58 @@ def _int_primitive(row: Sequence[int]) -> IntRow:
     return tuple(v // g for v in row) if g else tuple(row)
 
 
-def _int_rank(rows: Sequence[IntRow], dim: int) -> int:
-    """Rank of integer rows by fraction-free elimination."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    for col in range(dim):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        pval = prow[col]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [v * pval - w * f for v, w in zip(mat[r], prow)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def _to_int_row(row: Row) -> IntRow:
     prim = _primitive_row(row)
     return tuple(int(v) for v in prim)
 
 
-def _dd_rays(normals: Sequence[IntRow], dim: int) -> list[IntRow]:
-    """Generating rays of {y : <a, y> >= 0 for all a in normals}.
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(u, v))
 
-    Incremental double description starting from the whole space (generated
-    by +-e_i), inserting one halfspace at a time.  All positive/negative ray
-    pairs are combined, which is exact; after each step the ray set is
-    pruned back to the rays whose active-constraint rank is at least
-    rank(processed) - 1, i.e. lineality members and extreme-class
-    representatives of the intermediate cone, which keeps the set small
-    while still generating the same cone.  All arithmetic is on primitive
-    integer vectors.
+
+def _dd_rays(normals: Sequence[IntRow], dim: int) -> list[IntRow]:
+    """One ray per extreme-ray class of {y : <a, y> >= 0 for all a in normals}.
+
+    Incremental double description that keeps the lineality basis apart
+    from the rays (Fukuda and Prodon, 1996).  It starts from the whole
+    space: lineality basis e_1..e_d and no rays.  A halfspace a that cuts
+    the lineality space turns one lineality vector l with <a, l> > 0 into a
+    ray, and moves the other lineality vectors and the rays into a-perp
+    along l.  Any other halfspace is a pointed step: the rays on its
+    nonnegative side stay, and each adjacent plus/minus pair is combined
+    into one ray on the hyperplane.  Two rays are adjacent when no third
+    ray's zero set (the indices of the processed normals it lies on)
+    contains their common zero set.  So every step keeps exactly one ray
+    per extreme-ray class.  All arithmetic is on primitive integer vectors.
     """
-    rays: list[IntRow] = []
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = 1
-        rays.append(tuple(e))
-        rays.append(tuple(-v for v in e))
-    processed: list[IntRow] = []
-    for a in normals:
-        plus, zero, minus = [], [], []
-        for r in rays:
-            s = sum(x * y for x, y in zip(a, r))
-            if s > 0:
-                plus.append((r, s))
-            elif s == 0:
-                zero.append(r)
-            else:
-                minus.append((r, s))
-        new_rays = [r for r, _ in plus] + zero
-        seen = set(new_rays)
-        for rp, sp in plus:
-            for rm, sm in minus:
-                combo = tuple(sp * m - sm * p for p, m in zip(rp, rm))
-                if all(v == 0 for v in combo):
-                    continue
-                key = _int_primitive(combo)
-                if key not in seen:
-                    seen.add(key)
-                    new_rays.append(key)
-        processed.append(a)
-        min_rank = _int_rank(processed, dim) - 1
-        kept = []
-        for r in sorted(set(new_rays)):
-            active = [n for n in processed
-                      if sum(x * y for x, y in zip(n, r)) == 0]
-            if _int_rank(active, dim) >= min_rank:
-                kept.append(r)
-        rays = kept
-        if not rays:
-            break
-    return rays
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[IntRow, frozenset[int]]] = []
+    for k, a in enumerate(normals):
+        cut = next((i for i, v in enumerate(lineality) if _dot(a, v)), None)
+        if cut is not None:
+            l = lineality.pop(cut)
+            al = _dot(a, l)
+            if al < 0:
+                l, al = tuple(-v for v in l), -al
+
+            def along(v: IntRow) -> IntRow:
+                s = _dot(a, v)
+                return _int_primitive([al * x - s * y for x, y in zip(v, l)])
+
+            lineality = [along(v) for v in lineality]
+            rays = [(along(r), z | {k}) for r, z in rays]
+            rays.append((l, frozenset(range(k))))
+            continue
+        signed = [(r, z, _dot(a, r)) for r, z in rays]
+        new_rays = [(r, z | {k} if s == 0 else z) for r, z, s in signed if s >= 0]
+        for rp, zp, sp in signed:
+            for rm, zm, sm in signed:
+                common = zp & zm
+                if sp > 0 > sm and sum(common <= z for _, z in rays) == 2:
+                    combo = [sp * m - sm * p for p, m in zip(rp, rm)]
+                    new_rays.append((_int_primitive(combo), common | {k}))
+        rays = new_rays
+    return [r for r, _ in rays]
 
 
 def _vform_of_hcone(normals: Sequence[Row], dim: int) -> tuple[list[Row], list[Row]]:
@@ -337,17 +307,8 @@ def _vform_of_hcone(normals: Sequence[Row], dim: int) -> tuple[list[Row], list[R
     int_normals = sorted({_to_int_row(n) for n in normals if any(v != 0 for v in n)})
     frac_normals = [tuple(Fraction(v) for v in n) for n in int_normals]
     lin_basis = [_primitive_row(b) for b in _null_space_basis(frac_normals, dim)]
-    target_rank = dim - len(lin_basis) - 1
-    reps: set[Row] = set()
-    if target_rank >= 0:
-        for ray in _dd_rays(int_normals, dim):
-            active = [a for a in int_normals
-                      if sum(x * y for x, y in zip(a, ray)) == 0]
-            if _int_rank(active, dim) != target_rank:
-                continue
-            proj = _project_off(tuple(Fraction(v) for v in ray), lin_basis)
-            if any(v != 0 for v in proj):
-                reps.add(_primitive_row(proj))
+    reps = {_primitive_row(_project_off(tuple(Fraction(v) for v in ray), lin_basis))
+            for ray in _dd_rays(int_normals, dim)}
     return lin_basis, sorted(reps)
 
 

@@ -12,9 +12,11 @@ from dcverify import (
     PolyhedralCone,
     RationalVector,
     cone_contains,
+    cones,
     dual_cone,
     nonnegative_orthant,
     order_relation,
+    parse_problem,
     parse_rational,
     strict_polar_contains,
 )
@@ -236,6 +238,83 @@ class TestConeProperties:
         a = PolyhedralCone.from_generators([V(2, 0), V(3, 3)])
         b = PolyhedralCone.from_generators([V(1, 1), V(1, 0), V(5, 2)])
         assert a == b
+
+
+class TestFromHalfspaces:
+    def test_round_trip_on_random_corpus(self):
+        # each random cone, and the cone it spans with the line through its
+        # first generator, is rebuilt from its own halfspaces
+        rng = random.Random(37)
+        with_line = set()
+        for dim in (2, 3, 4):
+            for _ in range(15):
+                cone = random_cone(rng, dim)
+                lined = PolyhedralCone.from_generators([*cone.generators, -cone.generators[0]])
+                for K in (cone, lined):
+                    if K.halfspaces:
+                        assert PolyhedralCone.from_halfspaces(K.halfspaces, K.dim) == K
+                        if K.lineality_basis:
+                            with_line.add(dim)
+        assert with_line == {2, 3, 4}
+
+    def test_zero_cone_raises(self):
+        with pytest.raises(ConeError, match="zero cone"):
+            PolyhedralCone.from_halfspaces([V(1, 0), V(-1, 0), V(0, 1), V(0, -1)])
+        with pytest.raises(ConeError, match="zero cone"):
+            PolyhedralCone.from_halfspaces([V(1, 0, 0), V(0, 1, 0), V(0, 0, 1),
+                                            V(-1, -1, -1)])
+
+
+# A 4-D cone whose canonical form took about 20 s when the double
+# description combined every plus/minus pair and filtered by rank.
+SLOW_GENERATORS = [V(-5, -4, 1, 2), V(-4, -4, -5, 5), V(-4, 3, -1, -5), V(-4, 3, 2, -4),
+                   V(0, -2, -1, -3)]
+SLOW_HALFSPACES = (V(-59, 46, -149, 19), V(-57, 52, -23, -27), V(-28, -22, 41, 1),
+                   V(-13, -8, -2, 6), V(-1, -34, 7, -21), V(27, -142, -83, -175))
+
+
+class TestDoubleDescription:
+    @pytest.fixture
+    def bounded_work(self, monkeypatch):
+        """Fail once the double description makes more than 200 primitive
+        integer rays: the work bound is a count, not wall time."""
+        calls = 0
+        make_primitive = cones._int_primitive
+
+        def counted(row):
+            nonlocal calls
+            calls += 1
+            if calls > 200:
+                raise AssertionError("more than 200 _int_primitive calls")
+            return make_primitive(row)
+
+        monkeypatch.setattr(cones, "_int_primitive", counted)
+
+    def test_five_generator_cone_in_4d(self, bounded_work):
+        cone = PolyhedralCone.from_generators(SLOW_GENERATORS)
+        assert cone.generators == tuple(SLOW_GENERATORS)
+        assert cone.halfspaces == SLOW_HALFSPACES
+        assert cone.lineality_basis == () and cone.full_dimensional
+
+    def test_same_cone_from_its_halfspaces(self, bounded_work):
+        cone = PolyhedralCone.from_halfspaces(SLOW_HALFSPACES)
+        assert cone.generators == tuple(SLOW_GENERATORS)
+        assert cone.halfspaces == SLOW_HALFSPACES
+
+    def test_declared_as_k_in_a_problem_file(self, bounded_work):
+        generator_lines = "".join(
+            "generator = " + " ".join(str(c) for c in g) + "\n" for g in SLOW_GENERATORS)
+        text = (
+            "[spaces]\nx_dim = 1\ny_dim = 4\nz_dim = 1\n\n"
+            f"[cone K]\n{generator_lines}\n"
+            "[cone D]\ngenerator = 1\n\n"
+            "[map F]\n\n[map G]\n\n[map H]\n\n[map S]\npoly 0 = 1 0\n\n"
+            "[set C]\nlower = -1\nupper = 1\n\n"
+            "[point]\nxbar = 0\neps = 0 0 0 0\n"
+        )
+        K = parse_problem(text).problem.K
+        assert K.generators == tuple(SLOW_GENERATORS)
+        assert K.halfspaces == SLOW_HALFSPACES
 
 
 class TestRationalParsing:
