@@ -1,10 +1,13 @@
 """Exact rational polyhedral cone algebra.
 
-Everything in this module is computed over arbitrary-precision rationals
-(`fractions.Fraction`); there is no floating point and therefore no tolerance
-policy.  A cone is stored in double description: a canonical generator set
-(V-form) together with a canonical halfspace-normal set (H-form).  Canonical
-means the stored sets depend only on the cone as a point set, never on the
+Everything in this module is exact, with no floating point and therefore no
+tolerance policy.  Vectors hold `fractions.Fraction`s; canonicalization and
+membership run on primitive integer rows (each vector scaled once by the lcm
+of its denominators, then divided by the gcd), with a fraction-free RREF for
+the lineality basis and a fraction-free Gram solve for projections.  A cone
+is stored in double description: a canonical generator set (V-form)
+together with a canonical halfspace-normal set (H-form).  Canonical means
+the stored sets depend only on the cone as a point set, never on the
 particular generating vectors supplied, so cone equality is plain field
 equality on the frozen dataclass.
 
@@ -26,9 +29,10 @@ with no rank test.  Ambient dimensions above 4 are rejected at construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 MAX_CONE_DIM = 4
@@ -164,89 +168,82 @@ class RationalVector:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra on tuples of Fractions
+# exact linear algebra on primitive integer rows
 # ---------------------------------------------------------------------------
-
-Row = tuple[Fraction, ...]
-
-
-def _rref(rows: Sequence[Row], dim: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    row_idx = 0
-    for col in range(dim):
-        pivot_row = None
-        for r in range(row_idx, len(mat)):
-            if mat[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[row_idx], mat[pivot_row] = mat[pivot_row], mat[row_idx]
-        pv = mat[row_idx][col]
-        mat[row_idx] = [v / pv for v in mat[row_idx]]
-        for r in range(len(mat)):
-            if r != row_idx and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row_idx])]
-        pivots.append(col)
-        row_idx += 1
-        if row_idx == len(mat):
-            break
-    return mat[:row_idx], pivots
-
-
-def _null_space_basis(rows: Sequence[Row], dim: int) -> list[Row]:
-    """Canonical (RREF-derived) basis of {x : <r, x> = 0 for all rows r}."""
-    reduced, pivots = _rref(rows, dim)
-    free_cols = [c for c in range(dim) if c not in pivots]
-    basis: list[Row] = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for r, pc in zip(reduced, pivots):
-            vec[pc] = -r[fc]
-        basis.append(tuple(vec))
-    return basis
-
-
-def _project_off(vec: Row, basis: Sequence[Row]) -> Row:
-    """Project vec onto the orthogonal complement of span(basis), exactly."""
-    if not basis:
-        return vec
-    k = len(basis)
-    # the Gram matrix is invertible, so [gram | rhs] reduces to [I | lam]
-    aug = [tuple(sum(a * b for a, b in zip(basis[i], w)) for w in (*basis, vec))
-           for i in range(k)]
-    reduced, _ = _rref(aug, k)
-    proj = list(vec)
-    for row, bvec in zip(reduced, basis):
-        proj = [p - row[k] * b for p, b in zip(proj, bvec)]
-    return tuple(proj)
-
-
-def _primitive_row(row: Row) -> Row:
-    return RationalVector(row).primitive().coords
-
 
 IntRow = tuple[int, ...]
 
 
 def _int_primitive(row: Sequence[int]) -> IntRow:
-    g = 0
-    for v in row:
-        g = gcd(g, abs(v))
-    return tuple(v // g for v in row) if g else tuple(row)
+    g = gcd(*row)
+    return tuple(v // g for v in row) if g > 1 else tuple(row)
 
 
-def _to_int_row(row: Row) -> IntRow:
-    prim = _primitive_row(row)
-    return tuple(int(v) for v in prim)
+def _cleared(coords: Sequence[Fraction]) -> list[int]:
+    """The coordinates times the lcm of their denominators, as ints."""
+    q = lcm(*(c.denominator for c in coords))
+    return [c.numerator * (q // c.denominator) for c in coords]
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
+
+
+def _int_rref(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[Sequence[int]], list[int]]:
+    """Fraction-free reduced row echelon form over the first ``cols``
+    columns: (nonzero rows, pivot columns).  Each pivot column is zero
+    outside its pivot row; every row is kept primitive."""
+    mat = list(rows)
+    pivots: list[int] = []
+    for col in range(cols):
+        k = len(pivots)
+        found = next((r for r in range(k, len(mat)) if mat[r][col]), None)
+        if found is None:
+            continue
+        mat[k], mat[found] = mat[found], mat[k]
+        prow, pv = mat[k], mat[k][col]
+        mat = [_int_primitive([pv * x - r[col] * y for x, y in zip(r, prow)])
+               if i != k and r[col] else r for i, r in enumerate(mat)]
+        pivots.append(col)
+        if k + 1 == len(mat):
+            break
+    return mat[:len(pivots)], pivots
+
+
+def _lineality(normals: Sequence[IntRow], dim: int) -> list[IntRow]:
+    """Canonical basis of {x : <a, x> = 0 for all normals a}: for each free
+    column of the RREF, its null vector (1 there) times the lcm of the
+    pivots, made primitive."""
+    reduced, pivots = _int_rref(normals, dim)
+    scale = lcm(*(r[pc] for r, pc in zip(reduced, pivots)))
+    basis = []
+    for fc in range(dim):
+        if fc not in pivots:
+            vec = [0] * dim
+            vec[fc] = scale
+            for r, pc in zip(reduced, pivots):
+                vec[pc] = -r[fc] * (scale // r[pc])
+            basis.append(_int_primitive(vec))
+    return basis
+
+
+def _project_off(rays: Sequence[IntRow], basis: Sequence[IntRow]) -> list[IntRow]:
+    """Each ray projected onto the orthogonal complement of span(basis),
+    made primitive.  The Gram system G lam = B r is solved fraction-free for
+    all rays at once; with s > 0 the lcm of the pivots, s * lam is integer
+    and s * r - B^T (s * lam) is the projection scaled by s."""
+    if not basis:
+        return list(rays)
+    k = len(basis)
+    aug = [[_dot(b, w) for w in (*basis, *rays)] for b in basis]
+    reduced, _ = _int_rref(aug, k)  # the Gram matrix is invertible
+    scale = lcm(*(row[i] for i, row in enumerate(reduced)))
+    projected = []
+    for j, ray in enumerate(rays):
+        lam = [row[k + j] * (scale // row[i]) for i, row in enumerate(reduced)]
+        projected.append(_int_primitive([scale * x - _dot(lam, col)
+                                         for x, col in zip(ray, zip(*basis))]))
+    return projected
 
 
 def _dd_rays(normals: Sequence[IntRow], dim: int) -> list[IntRow]:
@@ -294,7 +291,7 @@ def _dd_rays(normals: Sequence[IntRow], dim: int) -> list[IntRow]:
     return [r for r, _ in rays]
 
 
-def _vform_of_hcone(normals: Sequence[Row], dim: int) -> tuple[list[Row], list[Row]]:
+def _vform_of_hcone(normals: Sequence[IntRow], dim: int) -> tuple[list[IntRow], list[IntRow]]:
     """Canonical V-form of the cone {y : <a, y> >= 0 for all a in normals}.
 
     Returns (lineality basis, extreme-ray representatives).  The lineality
@@ -304,12 +301,17 @@ def _vform_of_hcone(normals: Sequence[Row], dim: int) -> tuple[list[Row], list[R
     complement of the lineality space, which makes the returned sets
     independent of how the cone was described.
     """
-    int_normals = sorted({_to_int_row(n) for n in normals if any(v != 0 for v in n)})
-    frac_normals = [tuple(Fraction(v) for v in n) for n in int_normals]
-    lin_basis = [_primitive_row(b) for b in _null_space_basis(frac_normals, dim)]
-    reps = {_primitive_row(_project_off(tuple(Fraction(v) for v in ray), lin_basis))
-            for ray in _dd_rays(int_normals, dim)}
-    return lin_basis, sorted(reps)
+    lin_basis = _lineality(normals, dim)
+    return lin_basis, sorted(set(_project_off(_dd_rays(normals, dim), lin_basis)))
+
+
+def _rows(lin: Sequence[IntRow], reps: Sequence[IntRow]) -> list[IntRow]:
+    """A V-form as one sorted row list: the rays and +-each lineality vector."""
+    return sorted({*reps, *lin, *(tuple(-v for v in b) for b in lin)})
+
+
+def _vector(row: IntRow) -> RationalVector:
+    return RationalVector(tuple(map(Fraction, row)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +326,8 @@ class PolyhedralCone:
     ``generators`` and ``halfspaces`` are canonical: two cones that are equal
     as point sets compare equal as dataclasses regardless of the generating
     vectors they were built from.  Generators of the lineality part appear as
-    +-pairs; all stored vectors are primitive integer vectors.
+    +-pairs; all stored vectors are primitive integer vectors.  ``normals``
+    holds the halfspaces as int tuples, for membership tests.
     """
 
     dim: int
@@ -332,6 +335,7 @@ class PolyhedralCone:
     halfspaces: tuple[RationalVector, ...]
     lineality_basis: tuple[RationalVector, ...]
     full_dimensional: bool
+    normals: tuple[IntRow, ...] = field(init=False, repr=False, compare=False)
 
     @classmethod
     def from_generators(cls, generators: Sequence[RationalVector | Sequence]) -> "PolyhedralCone":
@@ -347,34 +351,16 @@ class PolyhedralCone:
                 raise DimensionMismatchError("generators of mixed dimension")
             if g.is_zero():
                 raise ConeError("zero vector is not allowed as a generator")
-        gen_rows = sorted({g.primitive().coords for g in gens})
-
+        gen_rows = sorted({_int_primitive(_cleared(g.coords)) for g in gens})
         # halfspaces of the cone = canonical V-form of its dual
         dual_lin, dual_reps = _vform_of_hcone(gen_rows, dim)
-        halfspace_rows = sorted(set(dual_reps)
-                                | {b for b in dual_lin}
-                                | {tuple(-v for v in b) for b in dual_lin})
+        halfspace_rows = _rows(dual_lin, dual_reps)
         # canonical generators = canonical V-form of the halfspace cone
         lin, reps = _vform_of_hcone(halfspace_rows, dim)
-        canon_rows = sorted(set(reps)
-                            | {b for b in lin}
-                            | {tuple(-v for v in b) for b in lin})
+        canon_rows = _rows(lin, reps)
         if not canon_rows:
             raise ConeError("degenerate construction: the zero cone is not representable")
-
-        cone = cls(
-            dim=dim,
-            generators=tuple(RationalVector(r) for r in canon_rows),
-            halfspaces=tuple(RationalVector(r) for r in halfspace_rows),
-            lineality_basis=tuple(RationalVector(b) for b in lin),
-            full_dimensional=(len(dual_lin) == 0),
-        )
-        for g in gen_rows:
-            gv = RationalVector(g)
-            for a in cone.halfspaces:
-                if a.dot(gv) < 0:
-                    raise ConeError(f"internal error: generator {gv} violates halfspace {a}")
-        return cone
+        return cls._canonical(dim, gen_rows, canon_rows, halfspace_rows, lin, not dual_lin)
 
     @classmethod
     def from_halfspaces(cls, normals: Sequence[RationalVector | Sequence], dim: int | None = None) -> "PolyhedralCone":
@@ -385,20 +371,43 @@ class PolyhedralCone:
         d = dim if dim is not None else rows[0].dim
         if d > MAX_CONE_DIM:
             raise ConeError(f"ambient dimension {d} exceeds supported maximum {MAX_CONE_DIM}")
-        lin, reps = _vform_of_hcone([r.coords for r in rows], d)
-        gen_rows = sorted(set(reps) | {b for b in lin} | {tuple(-v for v in b) for b in lin})
-        if not gen_rows:
+        if any(r.dim != d for r in rows):
+            raise DimensionMismatchError(f"halfspace normals must have dimension {d}")
+        int_rows = sorted({_int_primitive(_cleared(r.coords)) for r in rows if not r.is_zero()})
+        # canonical generators = canonical V-form of the given halfspaces
+        lin, reps = _vform_of_hcone(int_rows, d)
+        canon_rows = _rows(lin, reps)
+        if not canon_rows:
             raise ConeError("the given halfspaces define the zero cone")
-        return cls.from_generators([RationalVector(r) for r in gen_rows])
+        # halfspaces of the cone = canonical V-form of its dual
+        dual_lin, dual_reps = _vform_of_hcone(canon_rows, d)
+        return cls._canonical(d, canon_rows, canon_rows, _rows(dual_lin, dual_reps), lin,
+                              not dual_lin)
+
+    @classmethod
+    def _canonical(cls, dim: int, checked: list[IntRow], generators: list[IntRow],
+                   halfspaces: list[IntRow], lineality: list[IntRow], full: bool) -> "PolyhedralCone":
+        """The cone of canonical rows, once every row in ``checked`` is
+        found to satisfy every halfspace."""
+        for g in checked:
+            for a in halfspaces:
+                if _dot(a, g) < 0:
+                    raise ConeError(f"internal error: generator {_vector(g)} "
+                                    f"violates halfspace {_vector(a)}")
+        cone = cls(dim, tuple(map(_vector, generators)), tuple(map(_vector, halfspaces)),
+                   tuple(map(_vector, lineality)), full)
+        object.__setattr__(cone, "normals", tuple(halfspaces))
+        return cone
 
     def contains(self, v: RationalVector, strict: bool = False) -> bool:
         if v.dim != self.dim:
             raise DimensionMismatchError(f"vector dim {v.dim} vs cone dim {self.dim}")
+        x = _cleared(v.coords)
         if strict:
             if not self.full_dimensional:
                 raise InteriorEmptyError("interior empty: cone is not full-dimensional")
-            return all(a.dot(v) > 0 for a in self.halfspaces)
-        return all(a.dot(v) >= 0 for a in self.halfspaces)
+            return all(_dot(a, x) > 0 for a in self.normals)
+        return all(_dot(a, x) >= 0 for a in self.normals)
 
     def interior_point(self) -> RationalVector:
         """Sum of the generators; strictly interior when full-dimensional."""

@@ -161,9 +161,9 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
         raise ValueError("radii must be strictly decreasing")
     points_per_axis = grid_template.points_per_axis if grid_template is not None else 33
 
-    # primitive integer normals, as (coordinate, coefficient) for each
+    # the cone's integer normals, as (coordinate, coefficient) for each
     # nonzero coefficient
-    normals = [[(i, int(c)) for i, c in enumerate(a.coords) if c] for a in cone.halfspaces]
+    normals = [[(i, c) for i, c in enumerate(a) if c] for a in cone.normals]
 
     def functionals(op: LinearOperator) -> tuple[int, list[list[int]]]:
         """(E, rows): E * a^T op for each halfspace normal a, as int rows,

@@ -349,7 +349,7 @@ class _Lattice:
         where = {p.coords: a for a, p in enumerate(self.points)}
         self._overrides = {self.q * self.keys[where[p.coords]]: [int(v * scale) for v in value]
                            for p, value in vmap.exceptions if p.coords in where}
-        self.normals = [tuple(int(c) for c in a.primitive().coords) for a in cone.halfspaces]
+        self.normals = cone.normals
         self._memo: dict[int, tuple[int, ...]] = {}
         self.values = [self.value(self.q * key) for key in self.keys]
 

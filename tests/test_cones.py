@@ -257,6 +257,28 @@ class TestFromHalfspaces:
                             with_line.add(dim)
         assert with_line == {2, 3, 4}
 
+    def test_two_double_description_passes(self, monkeypatch):
+        # the V-form of the given normals, then the V-form of its dual
+        calls = 0
+        dd_rays = cones._dd_rays
+
+        def counted(normals, dim):
+            nonlocal calls
+            calls += 1
+            return dd_rays(normals, dim)
+
+        monkeypatch.setattr(cones, "_dd_rays", counted)
+        for normals in ([V(1, 0), V(0, 1)], [V(1, 0, 0)], SLOW_HALFSPACES):
+            calls = 0
+            PolyhedralCone.from_halfspaces(normals)
+            assert calls == 2
+
+    def test_normals_of_another_dimension_raise(self):
+        with pytest.raises(DimensionMismatchError):
+            PolyhedralCone.from_halfspaces([V(1, 0)], dim=3)
+        with pytest.raises(DimensionMismatchError):
+            PolyhedralCone.from_halfspaces([V(1, 0), V(0, 1, 1)])
+
     def test_zero_cone_raises(self):
         with pytest.raises(ConeError, match="zero cone"):
             PolyhedralCone.from_halfspaces([V(1, 0), V(-1, 0), V(0, 1), V(0, -1)])
