@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 MAX_CONE_DIM = 4
 
@@ -96,10 +96,6 @@ class RationalVector:
 
     @classmethod
     def of(cls, *values: Fraction | int | str) -> "RationalVector":
-        return cls(tuple(as_fraction(v) for v in values))
-
-    @classmethod
-    def from_values(cls, values: Iterable[Fraction | int | str]) -> "RationalVector":
         return cls(tuple(as_fraction(v) for v in values))
 
     @classmethod
@@ -339,7 +335,7 @@ class PolyhedralCone:
 
     @classmethod
     def from_generators(cls, generators: Sequence[RationalVector | Sequence]) -> "PolyhedralCone":
-        gens = [g if isinstance(g, RationalVector) else RationalVector.from_values(g)
+        gens = [g if isinstance(g, RationalVector) else RationalVector.of(*g)
                 for g in generators]
         if not gens:
             raise ConeError("a cone needs at least one generator")
@@ -364,7 +360,7 @@ class PolyhedralCone:
 
     @classmethod
     def from_halfspaces(cls, normals: Sequence[RationalVector | Sequence], dim: int | None = None) -> "PolyhedralCone":
-        rows = [n if isinstance(n, RationalVector) else RationalVector.from_values(n)
+        rows = [n if isinstance(n, RationalVector) else RationalVector.of(*n)
                 for n in normals]
         if not rows:
             raise ConeError("halfspace construction needs at least one normal")

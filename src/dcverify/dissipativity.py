@@ -208,11 +208,8 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
         """The first point in lexicographic order with no pair satisfying
         eps, given as <a, eps> = bounds[a] / den."""
         if radius not in tables:
-            ball = BoxSet(
-                RationalVector(tuple(c - radius for c in xbar.coords)),
-                RationalVector(tuple(c + radius for c in xbar.coords)),
-            )
-            tables[radius] = (GridSpec(ball, points_per_axis).points(extra=extra), [])
+            grid = GridSpec(BoxSet.ball(xbar, radius), points_per_axis)
+            tables[radius] = (grid.points(extra=extra), [])
         points, rows = tables[radius]
         for k, x in enumerate(points):
             if k == len(rows):

@@ -25,6 +25,11 @@ On top of the core sit the theorem engines:
   modes, and the proper target restricts the objective multiplier to the
   strict polar or zero.
 
+One function, ``_solve_multipliers``, poses, solves and certifies every
+multiplier system: a prefix built once per engine call (the dual-cone rows,
+the complementarity equality when the mode carries one, then scale fixing)
+followed by the engine's own rows.  The modes differ only in their rows.
+
 The multiplier pair is scale-fixed by one linear equality: the pairings of
 ystar with the generators of the objective cone plus the pairings of zstar
 with the generators of the constraint cone sum to one.  Inside the dual
@@ -42,6 +47,8 @@ from typing import Sequence
 from .cones import (
     PolyhedralCone,
     RationalVector,
+    _cleared,
+    _int_primitive,
     as_fraction,
     cone_contains,
     format_rational,
@@ -293,7 +300,6 @@ class MultiplierCertificate:
     ystar: RationalVector
     zstar: RationalVector
     residuals: tuple[Fraction, ...]
-    mode: str
     lfp: LinearFeasibilityProblem
 
     def assignment(self) -> tuple[Fraction, ...]:
@@ -321,7 +327,7 @@ class MultiplierCertificate:
 
 
 def _certificate(lfp: LinearFeasibilityProblem, result: FeasibilityResult,
-                 y_dim: int, mode: str) -> MultiplierCertificate:
+                 y_dim: int) -> MultiplierCertificate:
     """The certificate of a feasible result, checked exactly: every residual
     must satisfy its relation and the multipliers must not all vanish, so no
     unverified multiplier verdict is reported."""
@@ -335,7 +341,7 @@ def _certificate(lfp: LinearFeasibilityProblem, result: FeasibilityResult,
         raise RuntimeError("multiplier assignment is all zero")
     ystar = RationalVector(result.assignment[:y_dim])
     zstar = RationalVector(result.assignment[y_dim:])
-    return MultiplierCertificate(ystar, zstar, residuals, mode, lfp)
+    return MultiplierCertificate(ystar, zstar, residuals, lfp)
 
 
 @dataclass(frozen=True)
@@ -377,18 +383,34 @@ def _pad(coeff_y: RationalVector | None, coeff_z: RationalVector | None,
     return ys + zs
 
 
-def _dual_rows(K: PolyhedralCone, D: PolyhedralCone) -> list[Constraint]:
+def _prefix(K: PolyhedralCone, D: PolyhedralCone,
+            comp_slack: RationalVector | None = None) -> list[Constraint]:
+    """The rows every multiplier system starts with: the dual-cone rows, the
+    complementarity equality <zstar, comp_slack> = 0 when the mode carries
+    one, then the scale-fixing equality."""
     y_dim, z_dim = K.dim, D.dim
     rows = [Constraint(_pad(g, None, y_dim, z_dim), "ge", Fraction(0), "ystar-dual-cone")
             for g in K.generators]
     rows += [Constraint(_pad(None, g, y_dim, z_dim), "ge", Fraction(0), "zstar-dual-cone")
              for g in D.generators]
+    if comp_slack is not None:
+        rows.append(Constraint(_pad(None, comp_slack, y_dim, z_dim), "eq", Fraction(0),
+                               "complementarity"))
+    rows.append(Constraint(_pad(K.interior_point(), D.interior_point(), y_dim, z_dim),
+                           "eq", Fraction(1), SCALE_FIXING_LABEL))
     return rows
 
 
-def _scale_fixing_row(K: PolyhedralCone, D: PolyhedralCone) -> Constraint:
-    return Constraint(_pad(K.interior_point(), D.interior_point(), K.dim, D.dim),
-                      "eq", Fraction(1), SCALE_FIXING_LABEL)
+def _solve_multipliers(prefix: list[Constraint], rows: list[Constraint],
+                       y_dim: int) -> MultiplierCertificate | None:
+    """The checked certificate of the system prefix + rows in the unknowns
+    y0.. (ystar) and z0.. (zstar), or None when it is infeasible."""
+    constraints = tuple(prefix + rows)
+    names = tuple(f"y{i}" if i < y_dim else f"z{i - y_dim}"
+                  for i in range(len(constraints[0].coeffs)))
+    lfp = LinearFeasibilityProblem(names, constraints)
+    result = solve_feasibility(lfp)
+    return _certificate(lfp, result, y_dim) if result.feasible else None
 
 
 def _ystar_strict_rows(K: PolyhedralCone, D: PolyhedralCone, target: str) -> list[Constraint]:
@@ -418,23 +440,19 @@ def _grid_rows(entries: list[tuple[RationalVector, RationalVector, str]],
     """
     y_dim, z_dim = K.dim, D.dim
     out: list[Constraint] = []
-    seen: set[tuple[Fraction, ...]] = set()
+    seen: set[tuple[int, ...]] = set()
     for coeff_y, coeff_z, label in entries:
         coeffs = _pad(coeff_y, coeff_z, y_dim, z_dim)
         if all(v == 0 for v in coeffs):
             continue
         if cone_contains(K, coeff_y) and cone_contains(D, coeff_z):
             continue
-        key = RationalVector(coeffs).primitive().coords
+        key = _int_primitive(_cleared(coeffs))
         if key in seen:
             continue
         seen.add(key)
         out.append(Constraint(coeffs, "ge", Fraction(0), label))
     return out
-
-
-def _variables(y_dim: int, z_dim: int) -> tuple[str, ...]:
-    return tuple(f"y{i}" for i in range(y_dim)) + tuple(f"z{i}" for i in range(z_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -468,20 +486,15 @@ def alternative_system(Fmap: VectorMap, Gmap: VectorMap, K: PolyhedralCone,
             warnings.append(
                 f"map {name} is not convexlike on the grid "
                 f"(witness {x1}, {x2}, lambda={format_rational(lam)})")
-    pts = C_grid.points(extra=Fmap.exception_points() + Gmap.exception_points())
-    for x in pts:
-        if cone_contains(K, -Fmap.evaluate(x), strict=True) and \
-                cone_contains(D, -Gmap.evaluate(x), strict=True):
+    entries = []
+    for x in C_grid.points(extra=Fmap.exception_points() + Gmap.exception_points()):
+        fx, gx = Fmap.evaluate(x), Gmap.evaluate(x)
+        if cone_contains(K, -fx, strict=True) and cone_contains(D, -gx, strict=True):
             return AlternativeOutcome("SolutionExists", x=x, warnings=tuple(warnings))
-    entries = [(Fmap.evaluate(x), Gmap.evaluate(x), f"value-row x={x}") for x in pts]
-    constraints = _dual_rows(K, D) + [_scale_fixing_row(K, D)] + _grid_rows(entries, K, D)
-    lfp = LinearFeasibilityProblem(_variables(K.dim, D.dim), tuple(constraints))
-    result = solve_feasibility(lfp)
-    if not result.feasible:
-        return AlternativeOutcome("GridGap", warnings=tuple(warnings))
-    return AlternativeOutcome(
-        "Multipliers", certificate=_certificate(lfp, result, K.dim, "alternative"),
-        warnings=tuple(warnings))
+        entries.append((fx, gx, f"value-row x={x}"))
+    certificate = _solve_multipliers(_prefix(K, D), _grid_rows(entries, K, D), K.dim)
+    return AlternativeOutcome("GridGap" if certificate is None else "Multipliers",
+                              certificate=certificate, warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +545,6 @@ def _subgradient_rows(problem: DCProblem, values: list[tuple], T: LinearOperator
     return _grid_rows(entries, problem.K, problem.D)
 
 
-def _complementarity_row(problem: DCProblem, comp_slack: RationalVector) -> Constraint:
-    return Constraint(_pad(None, comp_slack, problem.y_dim, problem.z_dim), "eq", Fraction(0),
-                      "complementarity")
-
-
 def _zero_rows(first: int, count: int, width: int, label: str) -> list[Constraint]:
     """Unit equalities forcing the unknowns first .. first + count - 1 to zero."""
     return [Constraint(tuple(Fraction(int(k == i)) for k in range(width)), "eq", Fraction(0), label)
@@ -571,10 +579,8 @@ def sufficient_condition(problem: DCProblem,
 
     values = _local_values(problem, U, grid)
     comp_slack = problem.H.evaluate(problem.xbar) - problem.S.evaluate(problem.xbar)
-    base_rows = _dual_rows(problem.K, problem.D) + [
-        _complementarity_row(problem, comp_slack),
-        _scale_fixing_row(problem.K, problem.D),
-    ] + _ystar_strict_rows(problem.K, problem.D, target)
+    prefix = _prefix(problem.K, problem.D, comp_slack) + \
+        _ystar_strict_rows(problem.K, problem.D, target)
 
     certificates = []
     for T in candidates_T:
@@ -585,16 +591,13 @@ def sufficient_condition(problem: DCProblem,
                 else:
                     moved_T = LinearOperator.column((T.as_vector() - corr.alpha).coords)
                     moved_L = LinearOperator.column((L.as_vector() - corr.beta).coords)
-                constraints = base_rows + _subgradient_rows(problem, values, moved_T, moved_L)
-                lfp = LinearFeasibilityProblem(
-                    _variables(problem.y_dim, problem.z_dim), tuple(constraints))
-                result = solve_feasibility(lfp)
-                if not result.feasible:
+                certificate = _solve_multipliers(
+                    prefix, _subgradient_rows(problem, values, moved_T, moved_L), problem.y_dim)
+                if certificate is None:
                     return SufficientOutcome("FailedFor", tuple(certificates),
                                              failed_T=T, failed_L=L,
                                              failed_correction=corr)
-                certificates.append(
-                    _certificate(lfp, result, problem.y_dim, f"sufficient-{mode}-{target}"))
+                certificates.append(certificate)
     return SufficientOutcome("AllCandidatesCertified", tuple(certificates))
 
 
@@ -637,30 +640,18 @@ def necessary_condition(problem: DCProblem,
     values = _local_values(problem, U, grid)
     y_dim, z_dim = problem.y_dim, problem.z_dim
     comp_slack = problem.H.evaluate(problem.xbar) - problem.S.evaluate(problem.xbar)
-    comp_row = _complementarity_row(problem, comp_slack)
-    scale_row = _scale_fixing_row(problem.K, problem.D)
-    dual = _dual_rows(problem.K, problem.D)
+    prefix = _prefix(problem.K, problem.D, comp_slack if mode == MODE_LEGACY else None)
     branches = [[]] if target == TARGET_WEAK else [
         _zero_rows(0, y_dim, y_dim + z_dim, "ystar-zero"),
         _ystar_strict_rows(problem.K, problem.D, TARGET_PROPER)]
-
-    def solve_for(grid_rows: list[Constraint], with_comp: bool,
-                  extra: list[Constraint]) -> tuple[LinearFeasibilityProblem, FeasibilityResult]:
-        rows = dual + ([comp_row] if with_comp else []) + [scale_row] + extra + grid_rows
-        lfp = LinearFeasibilityProblem(_variables(y_dim, z_dim), tuple(rows))
-        return lfp, solve_feasibility(lfp)
-
-    with_comp = (mode == MODE_LEGACY)
     for T in candidates_T:
         for L in candidates_L:
             grid_rows = _subgradient_rows(problem, values, T, L, problem.eps)
             for extra in branches:
-                lfp, result = solve_for(grid_rows, with_comp, extra)
-                if result.feasible:
-                    return NecessaryOutcome(
-                        "Multipliers",
-                        certificate=_certificate(lfp, result, y_dim, f"necessary-{mode}-{target}"),
-                        chosen_T=T, chosen_L=L, warnings=tuple(warnings))
+                certificate = _solve_multipliers(prefix, extra + grid_rows, y_dim)
+                if certificate is not None:
+                    return NecessaryOutcome("Multipliers", certificate=certificate,
+                                            chosen_T=T, chosen_L=L, warnings=tuple(warnings))
 
     trace: list[str] = []
     if mode == MODE_LEGACY:
@@ -672,11 +663,9 @@ def necessary_condition(problem: DCProblem,
             z_zero = _zero_rows(y_dim, z_dim, y_dim + z_dim, "zstar-zero")
             grid_rows = _subgradient_rows(problem, values, candidates_T[0], candidates_L[0],
                                           problem.eps)
-            for extra in branches:
-                _, res = solve_for(grid_rows, False, extra + z_zero)
-                if res.feasible:
-                    break
-            else:
+            diagnosis = _prefix(problem.K, problem.D)
+            if all(_solve_multipliers(diagnosis, extra + z_zero + grid_rows, y_dim) is None
+                   for extra in branches):
                 trace.append(
                     "with zstar = 0 the subgradient rows admit no nonzero ystar: "
                     "ystar in K*\\{0} is impossible")

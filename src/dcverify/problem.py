@@ -138,6 +138,12 @@ class BoxSet:
         if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("box lower bound exceeds upper bound")
 
+    @classmethod
+    def ball(cls, center: RationalVector, radius: Fraction) -> "BoxSet":
+        """The max-norm ball of the radius around the center."""
+        return cls(RationalVector(tuple(c - radius for c in center.coords)),
+                   RationalVector(tuple(c + radius for c in center.coords)))
+
     @property
     def dim(self) -> int:
         return self.lower.dim

@@ -44,7 +44,9 @@ rational literals; decimal notation is rejected so the parse is exact.
 A ``poly`` entry is a comma-separated monomial list; each monomial is a
 coefficient followed by one exponent per domain variable.  Coordinates with
 no ``poly`` entry are the zero polynomial.  Unknown sections or keys are
-rejected, with the offending line number.
+rejected, with the offending line number, and so is a second occurrence of
+a single-valued key (every key except ``generator``, ``poly``, ``except``,
+``T``, ``L`` and ``correction``).
 """
 
 from __future__ import annotations
@@ -64,6 +66,9 @@ _SECTIONS = ("spaces", "cone K", "cone D", "map F", "map G", "map H", "map S",
              "set C", "point", "candidates", "options")
 _REQUIRED = ("spaces", "cone K", "cone D", "map F", "map G", "map H", "map S",
              "set C", "point")
+# keys that may appear at most once in their section
+_SINGLE = {"spaces": ("x_dim", "y_dim", "z_dim"), "set C": ("lower", "upper"),
+           "point": ("xbar", "eps"), "options": ("grid", "radius", "dilation")}
 
 
 class ProblemFileError(ValueError):
@@ -137,7 +142,10 @@ def _split_sections(text: str) -> dict[str, list[tuple[int, str, str]]]:
         if "=" not in line:
             raise ProblemFileError(lineno, "expected 'key = value'")
         key, value = line.split("=", 1)
-        sections[current].append((lineno, key.strip(), value.strip()))
+        key = key.strip()
+        if key in _SINGLE.get(current, ()) and any(k == key for _, k, _ in sections[current]):
+            raise ProblemFileError(lineno, f"duplicate key {key!r} in [{current}]")
+        sections[current].append((lineno, key, value.strip()))
     for name in _REQUIRED:
         if name not in sections:
             raise ProblemFileError(None, f"missing required section [{name}]")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any
 
 from .cones import RationalVector, format_rational
@@ -42,10 +41,6 @@ class Report:
             if r.name == name:
                 return r
         raise KeyError(f"no result named {name!r} in this report")
-
-
-def rat_str(value: Fraction | int) -> str:
-    return format_rational(Fraction(value))
 
 
 def vec_strs(v: RationalVector) -> list[str]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from importlib.resources import files
 
-from .cones import RationalVector, format_rational
+from .cones import format_rational
 from .dissipativity import check_approx_pseudo_dissipative, gradient_field
 from .multipliers import (
     MODE_CORRECTED,
@@ -44,7 +44,7 @@ from .problem import (
     feasible_contains,
 )
 from .problemfile import ParsedProblem, parse_problem
-from .report import CheckResult, Report, rat_str, vec_strs
+from .report import CheckResult, Report, vec_strs
 from .subdiff import eps_subdiff_contains, strong_subdiff_contains
 
 SCENARIO_FILES = {
@@ -79,7 +79,7 @@ def load_scenario_problem(name: str) -> ParsedProblem:
 def _params(grid: GridSpec, U: NeighborhoodSpec | None = None) -> dict:
     params = {"grid": str(grid.points_per_axis)}
     if U is not None:
-        params["radius"] = rat_str(U.radius)
+        params["radius"] = format_rational(U.radius)
     return params
 
 
@@ -90,7 +90,7 @@ def _certificate_data(cert: MultiplierCertificate) -> dict:
 def _triple_data(witness: tuple) -> dict:
     x1, x2, lam = witness
     return {"witness_x1": vec_strs(x1), "witness_x2": vec_strs(x2),
-            "witness_lambda": rat_str(lam)}
+            "witness_lambda": format_rational(lam)}
 
 
 def omega_result(parsed: ParsedProblem, grid: GridSpec) -> CheckResult:
@@ -133,7 +133,7 @@ def convexity_results(parsed: ParsedProblem, grid: GridSpec) -> tuple[list[Check
             continue
         x1, x2, lam = falsified[name]
         flag = (f"map {name}: declared cone-convexity falsified at witness "
-                f"({x1}, {x2}, lambda={rat_str(lam)})")
+                f"({x1}, {x2}, lambda={format_rational(lam)})")
         if name in convexlike:
             flag += (", but the convexlike check passes, so the convexlike-based "
                      "necessary conditions still apply")
@@ -153,7 +153,7 @@ def dissipativity_results(parsed: ParsedProblem, grid: GridSpec) -> list[CheckRe
             "metric": "max-norm",
             "eps_samples": [
                 {"eps": vec_strs(ev.eps),
-                 "certified_radius": rat_str(ev.certified_radius)
+                 "certified_radius": format_rational(ev.certified_radius)
                  if ev.certified_radius is not None else "none"}
                 for ev in verdict.evidence
             ],
@@ -179,9 +179,9 @@ def proper_min_result(parsed: ParsedProblem, U: NeighborhoodSpec, grid: GridSpec
     family = DilationFamily(parsed.options.shears)
     verdict = check_eps_proper_local_min(parsed.problem, U, family, grid)
     data = {"feasible_points_checked": str(verdict.checked),
-            "shears": [rat_str(m) for m in family.shears]}
+            "shears": [format_rational(m) for m in family.shears]}
     if verdict.certified:
-        data["shear"] = rat_str(verdict.shear)
+        data["shear"] = format_rational(verdict.shear)
     return CheckResult("proper-min", verdict.status, params=_params(grid, U), data=data)
 
 
@@ -239,10 +239,7 @@ def alternative_result(parsed: ParsedProblem, U: NeighborhoodSpec,
 
     Fsys = shifted(problem.F, F_base, T, plus_eps=True)
     Gsys = shifted(problem.H, H_base, L, plus_eps=False)
-    ball = BoxSet(
-        RationalVector(tuple(c - U.radius for c in xbar.coords)),
-        RationalVector(tuple(c + U.radius for c in xbar.coords)),
-    ).intersect(problem.C)
+    ball = BoxSet.ball(xbar, U.radius).intersect(problem.C)
     outcome = alternative_system(Fsys, Gsys, problem.K, problem.D,
                                  GridSpec(ball, grid.points_per_axis))
     data: dict = {"T": str(T), "L": str(L)}

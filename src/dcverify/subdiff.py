@@ -82,7 +82,6 @@ class SubdiffVerdict:
 
     status: str  # "CertifiedOnGrid" | "Falsified"
     witness: RationalVector | None
-    grid: GridSpec
 
     @property
     def certified(self) -> bool:
@@ -107,8 +106,8 @@ def eps_subdiff_contains(vmap: VectorMap, cone: PolyhedralCone, xbar: RationalVe
     for x in grid.points(extra=vmap.exception_points() + [xbar]):
         diff = vmap.evaluate(x) - base - T.apply(x - xbar) + eps
         if not cone_contains(cone, diff):
-            return SubdiffVerdict("Falsified", x, grid)
-    return SubdiffVerdict("CertifiedOnGrid", None, grid)
+            return SubdiffVerdict("Falsified", x)
+    return SubdiffVerdict("CertifiedOnGrid", None)
 
 
 @dataclass(frozen=True)
@@ -195,5 +194,5 @@ def scalarized_subdiff_contains(problem: DCProblem, ystar: RationalVector,
         lhs = scalarized(x) - base + e
         rhs = g.apply(x - xbar)[0]
         if lhs < rhs:
-            return SubdiffVerdict("Falsified", x, grid)
-    return SubdiffVerdict("CertifiedOnGrid", None, grid)
+            return SubdiffVerdict("Falsified", x)
+    return SubdiffVerdict("CertifiedOnGrid", None)

@@ -273,7 +273,7 @@ def cones(draw, dim):
     vectors = st.tuples(*[st.integers(-3, 3)] * dim).filter(any)
     gens = draw(st.lists(vectors, min_size=dim, max_size=dim + 2))
     try:
-        cone = PolyhedralCone.from_generators([RationalVector.from_values(g) for g in gens])
+        cone = PolyhedralCone.from_generators([RationalVector.of(*g) for g in gens])
     except ConeError:
         cone = nonnegative_orthant(dim)
     return cone if cone.full_dimensional else nonnegative_orthant(dim)

@@ -1,8 +1,12 @@
 """Feasibility core and the four theorem engines."""
 
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dcverify import (
     BoxSet,
@@ -24,7 +28,8 @@ from dcverify import (
     solve_feasibility,
     sufficient_condition,
 )
-from dcverify.multipliers import FeasibilityResult, SolverLimitError, _certificate
+from dcverify.cones import _cleared, _int_primitive
+from dcverify.multipliers import FeasibilityResult, SolverLimitError, _certificate, _grid_rows
 from conftest import scalar_map, scalar_problem
 
 V = RationalVector.of
@@ -114,6 +119,24 @@ class TestAlternativeSystem:
             assert out.kind in ("SolutionExists", "Multipliers")
             assert (out.x is None) != (out.certificate is None)
 
+    def test_each_map_evaluated_once_per_point_without_solution(self, monkeypatch):
+        Fmap = scalar_map(((1,), F(1)))
+        Gmap = scalar_map(((1,), F(-1)))
+        grid = grid_over(-1, 1)
+        calls = Counter()
+        evaluate = VectorMap.evaluate
+
+        def spy(vmap, x):
+            # the convexlike scans evaluate on their own; count only the
+            # solution scan and the LP rows
+            if sys._getframe(1).f_code.co_name == "alternative_system":
+                calls[id(vmap), x] += 1
+            return evaluate(vmap, x)
+
+        monkeypatch.setattr(VectorMap, "evaluate", spy)
+        assert alternative_system(Fmap, Gmap, RAY, RAY, grid).kind == "Multipliers"
+        assert calls == Counter({(id(m), x): 1 for m in (Fmap, Gmap) for x in grid.points()})
+
     def test_non_convexlike_inputs_warn_but_run(self):
         two_valued = VectorMap(1, 2, ((), ()),
                                ((V(0), V(0, 1)), (V(1), V(1, 0))))
@@ -122,6 +145,38 @@ class TestAlternativeSystem:
                                  GridSpec(BoxSet(V(0), V(1)), 2))
         assert out.warnings and "not convexlike" in out.warnings[0]
         assert out.kind in ("SolutionExists", "Multipliers", "GridGap")
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def coefficient_rows(draw):
+    """Rows (y; z1, z2) drawn as rational multiples of a few base rows, so
+    that positive multiples, negative multiples and zero rows all occur."""
+    bases = draw(st.lists(st.tuples(SMALL, SMALL, SMALL), min_size=1, max_size=4))
+    scales = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    return [tuple(draw(scales) * c for c in draw(st.sampled_from(bases)))
+            for _ in range(draw(st.integers(1, 10)))]
+
+
+@given(coefficient_rows())
+def test_grid_rows_key_groups_rows_as_primitive_does(rows):
+    orthant = nonnegative_orthant(2)
+    entries = [(RationalVector(r[:1]), RationalVector(r[1:]), f"row {k}")
+               for k, r in enumerate(rows)]
+    kept, seen = [], set()
+    for y, z, label in entries:
+        v = RationalVector(y.coords + z.coords)
+        if v.is_zero():
+            continue
+        assert _int_primitive(_cleared(v.coords)) == tuple(int(c) for c in v.primitive().coords)
+        if cone_contains(RAY, y) and cone_contains(orthant, z):
+            continue
+        if v.primitive() not in seen:
+            seen.add(v.primitive())
+            kept.append(label)
+    assert [c.label for c in _grid_rows(entries, RAY, orthant)] == kept
 
 
 class TestSufficientCondition:
@@ -294,12 +349,12 @@ class TestCertificates:
             Constraint((F(0), F(0)), "ge", F(0), "trivial"),
         ))
         with pytest.raises(RuntimeError):
-            _certificate(lfp, FeasibilityResult("Feasible", assignment), 1, "test")
+            _certificate(lfp, FeasibilityResult("Feasible", assignment), 1)
 
     def test_certificate_of_solver_result_is_checked(self):
         lfp = LinearFeasibilityProblem(("y0", "z0"), (
             Constraint((F(1), F(0)), "gt", F(0), "ystar-nonzero"),
             Constraint((F(1), F(1)), "eq", F(1), "scale-fixing"),
         ))
-        cert = _certificate(lfp, solve_feasibility(lfp), 1, "test")
+        cert = _certificate(lfp, solve_feasibility(lfp), 1)
         assert cert.verify() and cert.residuals[1] == 0 and cert.residuals[0] > 0

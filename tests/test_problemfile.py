@@ -156,6 +156,26 @@ class TestErrors:
         with pytest.raises(ProblemFileError, match="duplicate"):
             parse_problem(MINIMAL + "\n[point]\nxbar = 0\n")
 
+    def test_repeated_spaces_key_rejected_with_line(self):
+        text = patched(MINIMAL, "y_dim = 1", "y_dim = 1\ny_dim = 1")
+        with pytest.raises(ProblemFileError, match=r"line 4: duplicate key 'y_dim' in \[spaces\]"):
+            parse_problem(text)
+
+    def test_repeated_set_key_rejected_with_line(self):
+        text = patched(MINIMAL, "upper = 1", "upper = 1\nupper = 1/2")
+        with pytest.raises(ProblemFileError, match=r"line 25: duplicate key 'upper' in \[set C\]"):
+            parse_problem(text)
+
+    def test_repeated_point_key_rejected_with_line(self):
+        text = patched(MINIMAL, "xbar = 0", "xbar = 0\nxbar = 1/2")
+        with pytest.raises(ProblemFileError, match=r"line 28: duplicate key 'xbar' in \[point\]"):
+            parse_problem(text)
+
+    def test_repeated_options_key_rejected_with_line(self):
+        text = MINIMAL + "\n[options]\ngrid = 11\nradius = 1/4\ngrid = 21\n"
+        with pytest.raises(ProblemFileError, match=r"line 33: duplicate key 'grid' in \[options\]"):
+            parse_problem(text)
+
     def test_missing_section_named(self):
         text = MINIMAL.replace("[set C]\nlower = -1\nupper = 1\n", "")
         with pytest.raises(ProblemFileError, match=r"missing required section \[set C\]"):

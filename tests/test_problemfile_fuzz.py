@@ -1,6 +1,7 @@
 """Mutation fuzzing of the problem-file parser.
 
-The two shipped problem files are mutated byte by byte and token by token;
+The two shipped problem files are mutated byte by byte, token by token and
+line by line;
 whatever the result, ``parse_problem`` either parses it or raises
 ``ProblemFileError``, never another exception.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import re
 from importlib.resources import files
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +39,8 @@ def mutated(draw):
     data = bytearray(draw(st.sampled_from(SHIPPED)))
     for _ in range(draw(st.integers(1, 4))):
         op = draw(st.sampled_from(["delete", "insert", "replace-byte", "number", "syntax",
-                                   "drop-token", "repeat-token", "swap-lines"]))
+                                   "drop-token", "repeat-token", "swap-lines",
+                                   "repeat-line"]))
         if op in ("delete", "insert", "replace-byte"):
             at = draw(st.integers(0, len(data)))
             if op == "delete":
@@ -47,11 +50,14 @@ def mutated(draw):
             elif at < len(data):
                 data[at] = draw(st.integers(0, 255))
             continue
-        if op == "swap-lines":
+        if op in ("swap-lines", "repeat-line"):
             lines = data.split(b"\n")
             i = draw(st.integers(0, len(lines) - 1))
-            j = draw(st.integers(0, len(lines) - 1))
-            lines[i], lines[j] = lines[j], lines[i]
+            if op == "swap-lines":
+                j = draw(st.integers(0, len(lines) - 1))
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                lines.insert(i + 1, lines[i])
             data = bytearray(b"\n".join(lines))
             continue
         parts = SPLIT.split(bytes(data))
@@ -78,3 +84,12 @@ def test_mutated_problem_files_raise_only_problem_file_error(text):
         parse_problem(text)
     except ProblemFileError:
         pass
+
+
+def test_repeated_lines_refuse_single_valued_keys_only():
+    text = SHIPPED[1].decode("utf-8")
+    assert text.count("xbar = 0\n") == 1 and text.count("generator = 1\n") == 2
+    with pytest.raises(ProblemFileError, match="duplicate key 'xbar'"):
+        parse_problem(text.replace("xbar = 0\n", "xbar = 0\nxbar = 0\n"))
+    parsed = parse_problem(text.replace("generator = 1\n", "generator = 1\ngenerator = 1\n", 1))
+    assert parsed.problem.K == parse_problem(text).problem.K
