@@ -313,12 +313,16 @@ class _Lattice:
     leaves the box, so combinations can be formed on the packed keys.
 
     The map is evaluated at most once per fine point reached, in a lazy
-    memo rather than a dense table.  Its values are paired with every cone
-    halfspace normal (primitive integer vectors) and scaled by one common
-    denominator D of all map values on the fine lattice, so each point
-    carries one int per halfspace and every cone inequality becomes an
-    integer comparison.  Exceptional points in the box are scanned points,
-    so their overrides are keyed by fine key like any other value.
+    memo.  Its values are paired with every cone halfspace normal
+    (primitive integer vectors) and scaled by one common denominator D of
+    all map values on the fine lattice, so each point carries one int per
+    halfspace and every cone inequality becomes an integer comparison.
+    Exceptional points in the box are scanned points, so their overrides
+    are keyed by fine key like any other value.
+
+    When the scanned points vary along at most one axis, the fine lattice
+    is one line whose packed keys are 0, 1, ..., and `convex_on_line` can
+    walk it in order instead of visiting pairs; see there.
     """
 
     def __init__(self, vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
@@ -356,6 +360,9 @@ class _Lattice:
         self._overrides = {self.q * self.keys[where[p.coords]]: [int(v * scale) for v in value]
                            for p, value in vmap.exceptions if p.coords in where}
         self.normals = cone.normals
+        lam_set = set(self.lams)
+        # (lam, w, mirrored) in list order; mirrored when 1 - lam is not listed
+        self._plan = [(lam, int(lam * self.q), (1 - lam) not in lam_set) for lam in self.lams]
         self._memo: dict[int, tuple[int, ...]] = {}
         self.values = [self.value(self.q * key) for key in self.keys]
 
@@ -379,15 +386,41 @@ class _Lattice:
         orientation (j, i) right after (i, j) when 1 - lam is not itself
         listed.  Pairs i == j are skipped: their combination is the point
         itself, which can falsify neither check."""
-        lam_set = set(self.lams)
-        plan = [(lam, int(lam * self.q), (1 - lam) not in lam_set) for lam in self.lams]
         n = len(self.points)
         for i in range(n):
             for j in range(i + 1, n):
-                for lam, w, mirrored in plan:
+                for lam, w, mirrored in self._plan:
                     yield i, j, lam, w
                     if mirrored:
                         yield j, i, lam, w
+
+    def convex_on_line(self) -> bool:
+        """True when no cone-convexity test of `pairs` can fail, shown by
+        second differences along the fine line (Murota, Discrete Convex
+        Analysis, 2003).
+
+        It applies when at most one radix is above 1, so the fine lattice is
+        the line of keys 0 .. size-1, and when size is at most the number of
+        (pair, lambda, orientation) tests.  If every halfspace pairing s has
+        s(k-1) + s(k+1) >= 2 s(k) along the line, its piecewise-linear
+        interpolant is convex and equals s at every fine key.  A test reads
+        s at the fine keys A, B of two scanned points and at the fine key
+        m = (w*A + (q-w)*B)/q, so q*s(m) <= w*s(A) + (q-w)*s(B) and the test
+        holds.  The walk stops at the first negative second difference; the
+        values it reached stay in the memo for the pair scan.
+        """
+        radices = [radix for *_, radix in self._axes]
+        size = prod(radices)
+        n = len(self.points)
+        tests = n * (n - 1) // 2 * sum(1 + mirrored for *_, mirrored in self._plan)
+        if sum(radix > 1 for radix in radices) > 1 or size > tests:
+            return False
+        before = here = None
+        for after in map(self.value, range(size)):
+            if before is not None and any(b + a < 2 * h for b, h, a in zip(before, here, after)):
+                return False
+            before, here = here, after
+        return True
 
     def witness(self, a: int, b: int, lam: Fraction) -> ConvexityVerdict:
         return ConvexityVerdict("Falsified", (self.points[a], self.points[b], lam))
@@ -400,8 +433,16 @@ def check_cone_convex(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
     Tests map(lam*x1 + (1-lam)*x2) preceq_cone lam*map(x1) + (1-lam)*map(x2)
     for unordered grid pairs; each lambda is mirrored unless its complement
     already appears in the list.  First failure in lexicographic order wins.
+
+    On a line of scanned points whose halfspace pairings have nonnegative
+    second differences on the fine lattice, `_Lattice.convex_on_line` shows
+    that every test holds, so the verdict is NotFalsified without the pair
+    scan; otherwise the pairs are scanned, reading the values already
+    computed.
     """
     lat = _Lattice(vmap, cone, grid, lambdas)
+    if lat.convex_on_line():
+        return ConvexityVerdict("NotFalsified")
     q, keys, values, value = lat.q, lat.keys, lat.values, lat.value
     for a, b, lam, w in lat.pairs():
         wc = q - w
