@@ -22,11 +22,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import and_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cones import (
     DimensionMismatchError,
@@ -159,42 +159,74 @@ class BoxSet:
         return BoxSet(lo, hi)
 
 
+class _LatticeIndex(NamedTuple):
+    """Integer index of one point list of a grid on the lattice q times
+    finer than its coarse lattice; see `GridSpec.lattice`."""
+
+    # the grid's own list, shared and never copied
+    points: list[RationalVector]
+    # packed coarse index per point; point a sits at fine key q*keys[a]
+    keys: list[int]
+    # fine-lattice coordinate x_d = (base_d + K_d*unit_d) / den_d, where
+    # K_d = key // stride_d % radix_d; one (base, unit, stride, radix) per axis
+    axes: list[tuple[int, int, int, int]]
+    dens: list[int]
+    # packed coarse key of each extra point in the box
+    extra_keys: dict[tuple[Fraction, ...], int]
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Exact rational grid: affine subdivisions of a box, points per axis.
 
-    Each distinct point list is built once per instance and kept, keyed by
-    the extra points that fall inside the box, for as long as the instance
-    lives; every caller gets its own copy of the list.
+    Point k of an axis is Fraction(base + k*unit, den), where base/den is
+    the lower bound and unit/den the step.  Each distinct point list is
+    built once per instance and kept, keyed by the extra points that fall
+    inside the box, for as long as the instance lives; every caller gets
+    its own copy of the list.  The integer lattice index of a list
+    (`lattice`) is kept the same way, keyed by those extra points and q.
     """
 
     box: BoxSet
     points_per_axis: int
     _lists: dict[frozenset, list[RationalVector]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _indexes: dict[tuple[frozenset, int], _LatticeIndex] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.points_per_axis < 2:
             raise ValueError("points_per_axis must be at least 2")
 
-    def axis_points(self, axis: int) -> list[Fraction]:
+    def _axis(self, axis: int) -> tuple[int, int, int]:
+        """(base, unit, den) with lower bound base/den and step unit/den;
+        unit is 0 when the box is flat along the axis."""
         lo = self.box.lower[axis]
-        hi = self.box.upper[axis]
-        n = self.points_per_axis
-        if lo == hi:
-            return [lo]
-        step = (hi - lo) / (n - 1)
-        return [lo + k * step for k in range(n)]
+        step = (self.box.upper[axis] - lo) / (self.points_per_axis - 1)
+        den = lcm(lo.denominator, step.denominator)
+        return (lo.numerator * (den // lo.denominator),
+                step.numerator * (den // step.denominator), den)
+
+    def axis_points(self, axis: int) -> list[Fraction]:
+        base, unit, den = self._axis(axis)
+        if not unit:
+            return [Fraction(base, den)]
+        return [Fraction(base + k * unit, den) for k in range(self.points_per_axis)]
+
+    def _inside(self, extra: Iterable[RationalVector]) -> frozenset:
+        return frozenset(p.coords for p in extra
+                         if p.dim == self.box.dim and self.box.contains(p))
+
+    def _list(self, inside: frozenset) -> list[RationalVector]:
+        pts = self._lists.get(inside)
+        if pts is None:
+            pts = self._lists[inside] = self._build(inside)
+        return pts
 
     def points(self, extra: Iterable[RationalVector] = ()) -> list[RationalVector]:
         """All grid points in lexicographic order, merged with any extra
         points that fall inside the box (exceptional points, base points)."""
-        inside = frozenset(p.coords for p in extra
-                           if p.dim == self.box.dim and self.box.contains(p))
-        pts = self._lists.get(inside)
-        if pts is None:
-            pts = self._lists[inside] = self._build(inside)
-        return list(pts)
+        return list(self._list(self._inside(extra)))
 
     def _build(self, inside: frozenset) -> list[RationalVector]:
         # every axis ascends, so the product is already in lexicographic order
@@ -204,6 +236,57 @@ class GridSpec:
             if k == len(coords) or coords[k] != c:
                 coords.insert(k, c)
         return [RationalVector(c) for c in coords]
+
+    def lattice(self, extra: Iterable[RationalVector], q: int) -> _LatticeIndex:
+        """The integer index of `points(extra)` for lambdas over q.
+
+        Every listed point is lo + k*h for an integer index vector k, where
+        each axis step h is the rational gcd of the grid step and the
+        offsets of the extra points from lo; grid points are lo + k*step
+        by construction, so only the extra points need a gcd.  With every
+        lambda written w/q, the combination lam*x_i + (1-lam)*x_j has index
+        w*k_i + (q-w)*k_j on the fine lattice lo + K*h/q.  Index vectors
+        are packed into one int by a mixed radix wide enough for the fine
+        lattice; the packing is linear and order-preserving, and a convex
+        combination never leaves the box, so combinations can be formed on
+        the packed keys.  Built the first time it is asked for.
+        """
+        inside = self._inside(extra)
+        index = self._indexes.get((inside, q))
+        if index is None:
+            index = self._indexes[inside, q] = self._build_index(inside, q)
+        return index
+
+    def _build_index(self, inside: frozenset, q: int) -> _LatticeIndex:
+        lower = self.box.lower.coords
+        coarse, axis_keys, radices = [], [], []
+        for axis, lo in enumerate(lower):
+            base, unit, den = self._axis(axis)
+            step = Fraction(unit, den) if unit else Fraction(1)
+            h = step
+            for c in inside:
+                h = _rational_gcd(h, c[axis] - lo)
+            ratio = int(step / h)
+            last = (self.points_per_axis - 1) * ratio if unit else 0
+            coarse.append(h)
+            axis_keys.append(range(0, last + 1, ratio))
+            radices.append(q * last + 1)
+        strides = [prod(radices[axis + 1:]) for axis in range(len(radices))]
+        keys = [0]
+        for ks, stride in zip(axis_keys, strides):
+            keys = [key + k * stride for key in keys for k in ks]
+        extra_keys = {c: sum(int((x - lo) / h) * stride
+                             for x, lo, h, stride in zip(c, lower, coarse, strides))
+                      for c in inside}
+        axes, dens = [], []
+        for lo, h, stride, radix in zip(lower, coarse, strides, radices):
+            fine = h / q
+            den = lcm(lo.denominator, fine.denominator)
+            axes.append((lo.numerator * (den // lo.denominator),
+                         fine.numerator * (den // fine.denominator), stride, radix))
+            dens.append(den)
+        return _LatticeIndex(self._list(inside), sorted({*keys, *extra_keys.values()}), axes,
+                             dens, extra_keys)
 
 
 @dataclass(frozen=True)
@@ -301,84 +384,121 @@ def _at_least(row: Sequence[int], other: Sequence[int]) -> bool:
 
 
 class _Lattice:
-    """Integer view of one map over one grid, shared by both convexity scans.
+    """Integer values of one map over one grid, shared by both convexity
+    scans.
 
-    Every scanned point (grid points and the exceptional points in the box)
-    is lo + k*h for an integer index vector k, where each axis step h is the
-    rational gcd of the grid step and the offsets of all scanned points from
-    lo.  With every lambda written w/q, the combination lam*x_i + (1-lam)*x_j
-    has index w*k_i + (q-w)*k_j on the fine lattice lo + K*h/q.  Index
-    vectors are packed into one int by a mixed radix wide enough for the
-    fine lattice; the packing is linear and a convex combination never
-    leaves the box, so combinations can be formed on the packed keys.
-
-    The map is evaluated at most once per fine point reached, in a lazy
-    memo.  Its values are paired with every cone halfspace normal
-    (primitive integer vectors) and scaled by one common denominator D of
-    all map values on the fine lattice, so each point carries one int per
-    halfspace and every cone inequality becomes an integer comparison.
-    Exceptional points in the box are scanned points, so their overrides
-    are keyed by fine key like any other value.
+    The points, packed keys and fine axes come from the grid's lattice
+    index (`GridSpec.lattice`), which every map on the grid with the same
+    in-box exceptional points and the same q shares.  The map is evaluated
+    at most once per fine point reached, in a lazy memo.  Its values are
+    paired with every cone halfspace normal (primitive integer vectors) and
+    scaled by one common denominator D of all map values on the fine
+    lattice, so each point carries one int per halfspace and every cone
+    inequality becomes an integer comparison.  Exceptional points in the
+    box are scanned points, so their overrides are keyed by fine key like
+    any other value.
 
     When the scanned points vary along at most one axis, the fine lattice
-    is one line whose packed keys are 0, 1, ..., and `convex_on_line` can
-    walk it in order instead of visiting pairs; see there.
+    is one line whose packed keys are 0, 1, ...; `line` tabulates it by
+    finite differences, both scans read their values from it, and
+    `convex_on_line` walks it in order instead of visiting pairs.
     """
 
     def __init__(self, vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
                  lambdas: Sequence[Fraction]) -> None:
         self.lams = _pair_lambdas(lambdas)
         self.q = lcm(*(lam.denominator for lam in self.lams))
-        self.points = grid.points(extra=vmap.exception_points())
-        lower = grid.box.lower.coords
-        coarse = []
-        for axis, (lo, hi) in enumerate(zip(lower, grid.box.upper.coords)):
-            step = (hi - lo) / (grid.points_per_axis - 1) if hi != lo else Fraction(1)
-            for p in self.points:
-                step = _rational_gcd(step, p[axis] - lo)
-            coarse.append(step)
-        index = [[int((c - lo) / h) for c, lo, h in zip(p.coords, lower, coarse)]
-                 for p in self.points]
-        radices = [self.q * max(k[axis] for k in index) + 1 for axis in range(len(lower))]
-        strides = [prod(radices[axis + 1:]) for axis in range(len(lower))]
-        # packed coarse index per point; point a sits at fine key q*keys[a]
-        self.keys = [sum(ki * st for ki, st in zip(k, strides)) for k in index]
-        # fine-lattice coordinate x_d = (base_d + K_d*unit_d) / den_d
-        steps = [h / self.q for h in coarse]
-        dens = [lcm(lo.denominator, h.denominator) for lo, h in zip(lower, steps)]
-        self._axes = [(int(lo * den), int(h * den), stride, radix) for lo, h, den, stride, radix
-                      in zip(lower, steps, dens, strides, radices)]
+        index = grid.lattice(vmap.exception_points(), self.q)
+        self.points, self.keys, self._axes = index.points, index.keys, index.axes
         # D * map as integer polynomials in the numerators base_d + K_d*unit_d
-        monomial_dens = [[coeff.denominator * prod(den ** e for den, e in zip(dens, exponents))
+        monomial_dens = [[coeff.denominator * prod(den ** e for den, e in zip(index.dens, exponents))
                           for exponents, coeff in monos] for monos in vmap.coords]
         scale = lcm(*(den for row in monomial_dens for den in row),
                     *(v.denominator for _, value in vmap.exceptions for v in value))
         self._polys = [[(exponents, coeff.numerator * (scale // den))
                         for (exponents, coeff), den in zip(monos, row)]
                        for monos, row in zip(vmap.coords, monomial_dens)]
-        where = {p.coords: a for a, p in enumerate(self.points)}
-        self._overrides = {self.q * self.keys[where[p.coords]]: [int(v * scale) for v in value]
-                           for p, value in vmap.exceptions if p.coords in where}
+        self._overrides = {self.q * index.extra_keys[p.coords]: [int(v * scale) for v in value]
+                           for p, value in vmap.exceptions if p.coords in index.extra_keys}
         self.normals = cone.normals
         lam_set = set(self.lams)
         # (lam, w, mirrored) in list order; mirrored when 1 - lam is not listed
         self._plan = [(lam, int(lam * self.q), (1 - lam) not in lam_set) for lam in self.lams]
         self._memo: dict[int, tuple[int, ...]] = {}
-        self.values = [self.value(self.q * key) for key in self.keys]
+
+    @cached_property
+    def values(self) -> list[tuple[int, ...]]:
+        """The values of the scanned points, in point order; on a line they
+        are read from its table."""
+        self.line  # tabulating a line fills the memo
+        return [self.value(self.q * key) for key in self.keys]
+
+    @cached_property
+    def line(self) -> list[list[int]] | None:
+        """The whole fine lattice by `_tabulate_line` when it is a line
+        that is not longer than the scan: at most one radix is above 1, so
+        the keys are 0 .. size-1, and size is at most the number of (pair,
+        lambda, orientation) tests.  None otherwise."""
+        radices = [radix for *_, radix in self._axes]
+        size = prod(radices)
+        n = len(self.points)
+        tests = n * (n - 1) // 2 * sum(1 + mirrored for *_, mirrored in self._plan)
+        if sum(radix > 1 for radix in radices) > 1 or size > tests:
+            return None
+        return self._tabulate_line(size)
+
+    def _poly_at(self, key: int) -> list[int]:
+        """D * map(x) by the polynomial, at packed fine key: the one place
+        the map is evaluated directly."""
+        xs = [base + key // stride % radix * unit for base, unit, stride, radix in self._axes]
+        return [sum(c * prod(x ** e for x, e in zip(xs, exponents)) for exponents, c in poly)
+                for poly in self._polys]
+
+    def _pairings(self, ys: Sequence[int]) -> tuple[int, ...]:
+        return tuple(sum(ai * yi for ai, yi in zip(a, ys)) for a in self.normals)
 
     def value(self, key: int) -> tuple[int, ...]:
         """D * <a, map(x)> for each halfspace normal a, at packed fine key."""
         hit = self._memo.get(key)
         if hit is None:
             ys = self._overrides.get(key)
-            if ys is None:
-                xs = [base + key // stride % radix * unit
-                      for base, unit, stride, radix in self._axes]
-                ys = [sum(c * prod(x ** e for x, e in zip(xs, exponents))
-                          for exponents, c in poly) for poly in self._polys]
-            hit = self._memo[key] = tuple(sum(ai * yi for ai, yi in zip(a, ys))
-                                          for a in self.normals)
+            hit = self._memo[key] = self._pairings(self._poly_at(key) if ys is None else ys)
         return hit
+
+    def _tabulate_line(self, size: int) -> list[list[int]]:
+        """The values at keys 0 .. size-1 of a line lattice, one list per
+        halfspace normal, also stored in the memo.
+
+        Along the line each pairing is a polynomial in the key of at most
+        the degree d of the map in the varying coordinate, with integer
+        values.  It is evaluated directly at keys 0 .. d, and every further
+        value comes from its forward-difference table by d integer
+        additions (the method of differences; Knuth, TAOCP vol. 2, 4.6.4).
+        On a line of size at most d, the table of degree size - 1 through
+        the keys it has is exact.  Exceptional keys then override their
+        single values.
+        """
+        degree = max((e for poly in self._polys for exponents, _ in poly
+                      for e, (*_, radix) in zip(exponents, self._axes) if radix > 1), default=0)
+        d = min(degree, size - 1)
+        rows = [self._pairings(self._poly_at(key)) for key in range(d + 1)]
+        # the forward differences of orders 0 .. d at key 0
+        heads = []
+        while rows:
+            heads.append(rows[0])
+            rows = [tuple(b - a for a, b in zip(r, s)) for r, s in zip(rows, rows[1:])]
+        columns = []
+        for head in zip(*heads):
+            # row m of the table is the running sum of row m + 1 from head[m]
+            column = [head[-1]] * size
+            for start in reversed(head[:-1]):
+                column = list(itertools.accumulate(column[:-1], initial=start))
+            columns.append(column)
+        for key, ys in self._overrides.items():
+            for column, value in zip(columns, self._pairings(ys)):
+                column[key] = value
+        self._memo.update(zip(range(size), zip(*columns)))
+        return columns
 
     def pairs(self):
         """(a, b, lam, w) with lam = w/q, in scan order: index pairs i < j
@@ -399,28 +519,18 @@ class _Lattice:
         second differences along the fine line (Murota, Discrete Convex
         Analysis, 2003).
 
-        It applies when at most one radix is above 1, so the fine lattice is
-        the line of keys 0 .. size-1, and when size is at most the number of
-        (pair, lambda, orientation) tests.  If every halfspace pairing s has
-        s(k-1) + s(k+1) >= 2 s(k) along the line, its piecewise-linear
-        interpolant is convex and equals s at every fine key.  A test reads
-        s at the fine keys A, B of two scanned points and at the fine key
-        m = (w*A + (q-w)*B)/q, so q*s(m) <= w*s(A) + (q-w)*s(B) and the test
-        holds.  The walk stops at the first negative second difference; the
-        values it reached stay in the memo for the pair scan.
+        It applies when the fine lattice is tabulated as a `line`.  If every
+        halfspace pairing s has s(k-1) + s(k+1) >= 2 s(k) along the line,
+        its piecewise-linear interpolant is convex and equals s at every
+        fine key.  A test reads s at the fine keys A, B of two scanned
+        points and at the fine key m = (w*A + (q-w)*B)/q, so
+        q*s(m) <= w*s(A) + (q-w)*s(B) and the test holds.  When the walk
+        finds a negative second difference, the pair scan reads the same
+        table.
         """
-        radices = [radix for *_, radix in self._axes]
-        size = prod(radices)
-        n = len(self.points)
-        tests = n * (n - 1) // 2 * sum(1 + mirrored for *_, mirrored in self._plan)
-        if sum(radix > 1 for radix in radices) > 1 or size > tests:
-            return False
-        before = here = None
-        for after in map(self.value, range(size)):
-            if before is not None and any(b + a < 2 * h for b, h, a in zip(before, here, after)):
-                return False
-            before, here = here, after
-        return True
+        columns = self.line
+        return columns is not None and all(
+            b + a >= 2 * h for column in columns for b, h, a in zip(column, column[1:], column[2:]))
 
     def witness(self, a: int, b: int, lam: Fraction) -> ConvexityVerdict:
         return ConvexityVerdict("Falsified", (self.points[a], self.points[b], lam))
@@ -437,8 +547,8 @@ def check_cone_convex(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
     On a line of scanned points whose halfspace pairings have nonnegative
     second differences on the fine lattice, `_Lattice.convex_on_line` shows
     that every test holds, so the verdict is NotFalsified without the pair
-    scan; otherwise the pairs are scanned, reading the values already
-    computed.
+    scan; otherwise the pairs are scanned, reading the same table when the
+    points lie on a line.
     """
     lat = _Lattice(vmap, cone, grid, lambdas)
     if lat.convex_on_line():

@@ -10,10 +10,12 @@ the same first witness triple on every input.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dcverify import (
@@ -25,7 +27,8 @@ from dcverify import (
     check_cone_convex,
     check_convexlike,
 )
-from dcverify.problem import ConvexityVerdict, _Lattice
+from dcverify.problem import ConvexityVerdict, _Lattice, _rational_gcd
+from dcverify.scenarios import convexity_results, load_scenario_problem
 
 
 def _oracle_setup(vmap, cone, grid, lambdas):
@@ -277,7 +280,10 @@ def _spy_values(monkeypatch):
 
 def test_shipped_maps_certified_without_pair_scan(quartic_quadratic, monkeypatch):
     # 101 scanned points on a 401-point fine line; the pair scan would make
-    # 5,050 pairs x 3 lambdas = 15,150 lookups per map
+    # 5,050 pairs x 3 lambdas = 15,150 lookups per map.  Direct evaluations
+    # are counted where the polynomial is evaluated, so values the line
+    # table fills by differences cannot slip past the count.  Both checks
+    # pass here without visiting a pair
     p = quartic_quadratic.problem
     grid = GridSpec(p.C, 101)
 
@@ -286,11 +292,21 @@ def test_shipped_maps_certified_without_pair_scan(quartic_quadratic, monkeypatch
 
     monkeypatch.setattr(_Lattice, "pairs", no_pairs)
     for vmap, cone in ((p.F, p.K), (p.G, p.K), (p.H, p.D), (p.S, p.D)):
+        degree = max(e for monos in vmap.coords for (e,), _ in monos)
         with monkeypatch.context() as m:
-            calls = _spy_values(m)
+            lattices, direct = [], []
+            walk, poly_at = _Lattice.convex_on_line, _Lattice._poly_at
+            m.setattr(_Lattice, "convex_on_line",
+                      lambda self: lattices.append(self) or walk(self))
+            m.setattr(_Lattice, "_poly_at", lambda self, key: direct.append(key) or poly_at(self, key))
             assert check_cone_convex(vmap, cone, grid) == ConvexityVerdict("NotFalsified")
-        assert sum(evaluated for _, evaluated in calls) <= 401
-        assert len(calls) <= 101 + 401
+            assert len(direct) <= degree + 1
+            (lat,) = lattices
+            assert len(lat._memo) <= 401
+            # the convexlike scan reads its values from the same kind of table
+            direct.clear()
+            assert check_convexlike(vmap, cone, grid) == ConvexityVerdict("NotFalsified")
+            assert len(direct) <= degree + 1
 
 
 def test_size_guard_declines_without_walking(monkeypatch):
@@ -312,3 +328,139 @@ def test_size_guard_declines_without_walking(monkeypatch):
     verdict = check_cone_convex(square, ray, grid, lams)
     assert verdict == oracle_cone_convex(square, ray, grid, lams)
     assert sum(evaluated for _, evaluated in calls) < tests
+
+
+# --- the grid's lattice index ----------------------------------------------
+
+
+def oracle_index(grid, extra, q):
+    """The index as each lattice built it for itself: a rational gcd over
+    the offsets of every scanned point, per axis, and a `Fraction` division
+    per index.  Returns (points, keys, radices, axes, dens)."""
+    points = grid.points(extra=extra)
+    lower = grid.box.lower.coords
+    coarse = []
+    for axis, (lo, hi) in enumerate(zip(lower, grid.box.upper.coords)):
+        step = (hi - lo) / (grid.points_per_axis - 1) if hi != lo else Fraction(1)
+        for p in points:
+            step = _rational_gcd(step, p[axis] - lo)
+        coarse.append(step)
+    index = [[int((c - lo) / h) for c, lo, h in zip(p.coords, lower, coarse)] for p in points]
+    radices = [q * max(k[axis] for k in index) + 1 for axis in range(len(lower))]
+    strides = [prod(radices[axis + 1:]) for axis in range(len(lower))]
+    keys = [sum(ki * st for ki, st in zip(k, strides)) for k in index]
+    steps = [h / q for h in coarse]
+    dens = [lcm(lo.denominator, h.denominator) for lo, h in zip(lower, steps)]
+    axes = [(int(lo * den), int(h * den), stride, radix) for lo, h, den, stride, radix
+            in zip(lower, steps, dens, strides, radices)]
+    return points, keys, radices, axes, dens
+
+
+@st.composite
+def boxes(draw):
+    """A grid on a rational box of dimension 1 to 3 whose sides may have
+    zero width, with extra points on the grid, on the fine lattice of the
+    lambdas, or on neither, and the q of the lambdas."""
+    dim = draw(st.integers(1, 3))
+    lower = [draw(st.fractions(-3, 3, max_denominator=6)) for _ in range(dim)]
+    widths = [draw(st.sampled_from([0, Fraction(1), Fraction(3, 2), Fraction(2, 3),
+                                    Fraction(5, 7)])) for _ in range(dim)]
+    upper = [lo + w for lo, w in zip(lower, widths)]
+    grid = GridSpec(BoxSet(RationalVector(tuple(lower)), RationalVector(tuple(upper))),
+                    draw(st.integers(2, 6 if dim == 1 else 3)))
+    lams = draw(st.lists(st.sampled_from(LAMBDA_POOL), min_size=1, max_size=3, unique=True))
+    extra = draw(st.lists(exception_point(grid, lams), max_size=3))
+    return grid, [RationalVector(c) for c in extra], lcm(*(lam.denominator for lam in lams))
+
+
+@SETTINGS
+@given(boxes())
+def test_index_matches_per_map_oracle(case):
+    grid, extra, q = case
+    box, n = grid.box, grid.points_per_axis
+    inside = {p.coords for p in extra if box.contains(p)}
+    direct = itertools.product(*([lo + k * (hi - lo) / (n - 1) for k in range(n)] if lo != hi
+                                 else [lo] for lo, hi in zip(box.lower, box.upper)))
+    assert [p.coords for p in grid.points(extra=extra)] == sorted(set(direct) | inside)
+    # a second q on the same grid gets an index of its own
+    for q in (q, q + 1):
+        index = grid.lattice(extra, q)
+        points, keys, radices, axes, dens = oracle_index(grid, extra, q)
+        assert index.points == points
+        assert index.keys == keys
+        assert [radix for *_, radix in index.axes] == radices
+        assert index.axes == axes
+        assert index.dens == dens
+        assert index.extra_keys == {p.coords: keys[points.index(p)]
+                                    for p in extra if box.contains(p)}
+        assert grid.lattice(list(reversed(extra)), q) is index
+
+
+@pytest.mark.parametrize("name, builds", [("example-3-1", 1), ("example-4-1", 2)])
+def test_convexity_scans_share_the_grid_index(name, builds, monkeypatch):
+    # the scenario's four cone-convexity and two convexlike scans share one
+    # index per set of in-box exceptional points: example-4-1's F and G
+    # have an exception at 0, its H and S none
+    built = []
+    build = GridSpec._build_index
+
+    def spy(grid, inside, q):
+        built.append((inside, q))
+        return build(grid, inside, q)
+
+    monkeypatch.setattr(GridSpec, "_build_index", spy)
+    parsed = load_scenario_problem(name)
+    results, _ = convexity_results(parsed, GridSpec(parsed.problem.C, 101))
+    assert len(results) == 6
+    assert len(built) == builds == len(set(built))
+
+
+# --- the line's difference table -------------------------------------------
+
+
+@st.composite
+def polynomial_lines(draw):
+    """A map of degree up to 6 on a line: a 1-D box, or a 2-D box with one
+    zero-width side, both with rational bounds; exceptions on the grid, only
+    on the fine lattice, or off both."""
+    dim = draw(st.sampled_from([1, 2]))
+    flat = draw(st.integers(0, dim - 1)) if dim == 2 else None
+    lower = [draw(st.fractions(-2, 2, max_denominator=5)) for _ in range(dim)]
+    width = st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(4, 5)])
+    upper = [lo if axis == flat else lo + draw(width) for axis, lo in enumerate(lower)]
+    grid = GridSpec(BoxSet(RationalVector(tuple(lower)), RationalVector(tuple(upper))),
+                    draw(st.integers(2, 9)))
+    lams = draw(st.lists(st.sampled_from(LAMBDA_POOL), min_size=1, max_size=3, unique=True))
+    out_dim = draw(st.sampled_from([1, 2]))
+    exponent = st.tuples(*[st.integers(0, 6)] * dim)
+    coords = tuple(tuple((draw(exponent), draw(small)) for _ in range(draw(st.integers(0, 4))))
+                   for _ in range(out_dim))
+    points = draw(st.lists(exception_point(grid, lams), max_size=3, unique=True))
+    exceptions = tuple((RationalVector(p), RationalVector(tuple(draw(small) for _ in range(out_dim))))
+                       for p in points)
+    return VectorMap(dim, out_dim, coords, exceptions), draw(cones(out_dim)), grid, lams
+
+
+@SETTINGS
+@given(polynomial_lines())
+def test_line_table_matches_direct_evaluation(case):
+    vmap, cone, grid, lams = case
+    lat = _Lattice(vmap, cone, grid, lams)
+    size = prod(radix for *_, radix in lat._axes)
+    assume(size <= 1500)
+    columns = lat._tabulate_line(size)
+    assert len(columns) == len(cone.normals)
+    table = list(zip(*columns)) or [()] * size
+    # the same keys on a lattice that has tabulated nothing
+    direct = _Lattice(vmap, cone, grid, lams)
+    assert table == [direct.value(key) for key in range(size)]
+    # and, up to the common positive scale D, the Fraction pairings at the
+    # point of each key, lo + key/(size-1) * (hi - lo)
+    lo, hi = grid.box.lower, grid.box.upper
+    pairings = [[sum(a * y for a, y in zip(normal, vmap.evaluate(RationalVector(
+        tuple(l + Fraction(key, size - 1) * (h - l) for l, h in zip(lo, hi)))).coords))
+                 for normal in cone.normals] for key in range(size)]
+    nonzero = [(t, f) for row, frow in zip(table, pairings) for t, f in zip(row, frow) if f]
+    scale = Fraction(nonzero[0][0]) / nonzero[0][1] if nonzero else Fraction(1)
+    assert scale > 0
+    assert [list(row) for row in table] == [[scale * f for f in frow] for frow in pairings]
