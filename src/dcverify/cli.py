@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .cones import format_rational, parse_rational
@@ -36,7 +37,9 @@ from .report import Report, emit_report
 from .scenarios import CHECK_KINDS, check_results, run_scenario, scenario_names
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dcverify",
         description="Exact-rational verification toolkit for DC vector optimization.")

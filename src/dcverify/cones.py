@@ -400,10 +400,15 @@ class PolyhedralCone:
             raise DimensionMismatchError(f"vector dim {v.dim} vs cone dim {self.dim}")
         x = _cleared(v.coords)
         if strict:
-            if not self.full_dimensional:
-                raise InteriorEmptyError("interior empty: cone is not full-dimensional")
-            return all(_dot(a, x) > 0 for a in self.normals)
+            return all(_dot(a, x) > 0 for a in self.interior_normals())
         return all(_dot(a, x) >= 0 for a in self.normals)
+
+    def interior_normals(self) -> tuple[IntRow, ...]:
+        """The normals, for an interior test (every pairing positive); a
+        cone that is not full-dimensional has no interior to test."""
+        if not self.full_dimensional:
+            raise InteriorEmptyError("interior empty: cone is not full-dimensional")
+        return self.normals
 
     def interior_point(self) -> RationalVector:
         """Sum of the generators; strictly interior when full-dimensional."""

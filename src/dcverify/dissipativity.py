@@ -14,23 +14,29 @@ positive verdict is "NotFalsified" for the sampled eps list; falsification
 is exact and carries the radius-exhaustion trace and a witness point.
 
 The check evaluates once per radius, not once per (eps, radius) scan.  Each
-radius's ball grid is built the first time a scan reaches that radius, and
-each of its points gets one row the first time a scan reaches the point:
-for every (T, T*) pair, the pairings <a, (T - T*)(x - xbar)> / d(x, xbar)
-with each halfspace normal a of the cone, as integers over one positive
-scale per pair.  The rows a^T T* of the base operators are formed once per
-call.  Since a pair satisfies the inequality at x exactly when each of its
-pairings is at most <a, eps>, an eps sample is tested by integer
-comparisons alone.  The scan order, and with it the first violator in
-lexicographic order for each (eps, radius), is unchanged.
+radius's ball grid is taken from the template grid (`GridSpec.ball`), which
+builds it once, so two fields checked on one template share it.  Each point
+gets one row the first time a scan reaches it: for every (T, T*) pair, the
+pairings <a, (T - T*)(x - xbar)> / d(x, xbar) with each halfspace normal a
+of the cone, as integers over one positive scale per pair.  The row is
+computed in integers from the ball grid's lattice index: x - xbar is an
+int vector up to a positive factor, and for each (formula, base operator)
+pair the polynomials a^T (T(x) - T*) become integer polynomials in the
+numerators of x once per ball grid.  Exceptional points keep their
+override operators.  Since a pair satisfies the inequality at x exactly
+when each of its pairings is at most <a, eps>, an eps sample is tested by
+integer comparisons alone.  The scan order, and with it the first violator
+in lexicographic order for each (eps, radius), is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
 from .cones import (
     DimensionMismatchError,
@@ -39,7 +45,16 @@ from .cones import (
     as_fraction,
     cone_contains,
 )
-from .problem import BoxSet, GridSpec, Monomial, VectorMap, _eval_poly
+from .problem import (
+    BoxSet,
+    GridSpec,
+    IntPoly,
+    Monomial,
+    VectorMap,
+    _eval_poly,
+    _int_eval,
+    _int_polys,
+)
 from .subdiff import LinearOperator
 
 DEFAULT_RADII = (Fraction(1, 2), Fraction(1, 8), Fraction(1, 32),
@@ -159,65 +174,129 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
         raise ValueError("radii must be positive")
     if any(a <= b for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
-    points_per_axis = grid_template.points_per_axis if grid_template is not None else 33
+    template = grid_template if grid_template is not None else GridSpec(BoxSet(xbar, xbar), 33)
 
     # the cone's integer normals, as (coordinate, coefficient) for each
     # nonzero coefficient
     normals = [[(i, c) for i, c in enumerate(a) if c] for a in cone.normals]
 
+    def check_shape(out_dim: int, in_dim: int) -> None:
+        if in_dim != xbar.dim or out_dim != cone.dim:
+            raise DimensionMismatchError(
+                f"operator of shape {out_dim}x{in_dim} vs domain dim {xbar.dim} "
+                f"and cone dim {cone.dim}")
+
     def functionals(op: LinearOperator) -> tuple[int, list[list[int]]]:
         """(E, rows): E * a^T op for each halfspace normal a, as int rows,
         with E > 0 the least common denominator of the operator."""
-        if op.in_dim != xbar.dim or op.out_dim != cone.dim:
-            raise DimensionMismatchError(
-                f"operator of shape {op.out_dim}x{op.in_dim} vs domain dim {xbar.dim} "
-                f"and cone dim {cone.dim}")
+        check_shape(op.out_dim, op.in_dim)
         scale = lcm(*(v.denominator for row in op.matrix for v in row))
         ints = [[v.numerator * (scale // v.denominator) for v in row] for row in op.matrix]
         return scale, [[sum(c * ints[i][j] for i, c in a) for j in range(op.in_dim)]
                        for a in normals]
 
+    def applied(scaled: tuple[int, list[list[int]]], step: list[int]) -> tuple[int, list[int]]:
+        scale, rows = scaled
+        return scale, [sum(c * s for c, s in zip(row, step)) for row in rows]
+
     base = [functionals(Tstar) for Tstar in field.operators_at(xbar)]
-
-    def pairings(x: RationalVector) -> list[tuple[int, tuple[int, ...]]] | None:
-        """One (D, pairs) per (T, T*) pair: pairs holds D * <a, (T - T*)(x -
-        xbar)> / d(x, xbar) for each normal a, as ints, with D > 0.  None
-        at xbar, where every pair satisfies every eps."""
-        step = (x - xbar).coords
-        # the step times the lcm of its denominators: the pairings and the
-        # distance scale alike, so their ratio is unchanged
-        q = lcm(*(s.denominator for s in step))
-        ints = [s.numerator * (q // s.denominator) for s in step]
-
-        def applied(scaled: tuple[int, list[list[int]]]) -> tuple[int, list[int]]:
-            scale, rows = scaled
-            return scale, [sum(c * s for c, s in zip(row, ints)) for row in rows]
-
-        at_x = [applied(functionals(T)) for T in field.operators_at(x)]
-        d = max(map(abs, ints))
-        if d == 0:
-            return None
-        at_base = [applied(rows) for rows in base]
-        return [(sx * sb * d, tuple(sb * t - sx * u for t, u in zip(tx, ub)))
-                for sx, tx in at_x for sb, ub in at_base]
-
     extra = field.exception_points() + [xbar]
-    tables: dict[Fraction, tuple[list[RationalVector], list]] = {}
+
+    @cache
+    def relative() -> list[list[tuple[Monomial, ...]]]:
+        """a^T (T(x) - T*) column by column for each normal a, with T(x) one
+        formula and T* one base operator, as polynomials in x over Q: one
+        list per (formula, base operator) pair.  Built at the first formula
+        point a scan reaches."""
+        check_shape(field.out_dim, field.in_dim)
+        zero = (0,) * field.in_dim
+        pairs = []
+        for formula in field.formulas:
+            for sb, rows in base:
+                polys = []
+                for a, row in zip(normals, rows):
+                    for j in range(field.in_dim):
+                        terms: dict[tuple[int, ...], Fraction] = {zero: Fraction(-row[j], sb)}
+                        for i, c in a:
+                            for exponents, coeff in formula[i][j]:
+                                terms[exponents] = terms.get(exponents, 0) + c * coeff
+                        polys.append(tuple((e, v) for e, v in terms.items() if v))
+                pairs.append(polys)
+        return pairs
+
+    def pairings(index) -> Callable[[int], list[tuple[int, tuple[int, ...]]] | None]:
+        """The row of the point at each position of one ball grid's list:
+        one (D, pairs) per (T, T*) pair, where pairs holds D * <a, (T -
+        T*)(x - xbar)> / d(x, xbar) for each normal a, as ints, with D > 0.
+        None at xbar, where every pair satisfies every eps."""
+        axes, dens = index.axes, index.dens
+        # x - xbar along axis d is (K_d - Kbar_d) * unit_d / den_d; over the
+        # lcm of the dens it is an int vector, a positive multiple of the
+        # step, and the pairings and the distance scale alike, so their
+        # ratio is unchanged
+        common = lcm(*dens)
+        weights = [unit * (common // den) for (_, unit, *_), den in zip(axes, dens)]
+        center = index.extra_keys[xbar.coords]
+        kbar = [center // stride % radix for *_, stride, radix in axes]
+        overrides: dict[int, tuple[LinearOperator, ...]] = {}
+        for p, ops in field.exceptions:
+            key = index.extra_keys.get(p.coords)
+            if key is not None:
+                overrides.setdefault(key, ops)
+        # E * the relative polynomials as integer polynomials in the
+        # numerators base_d + K_d*unit_d of x, one E > 0 per pair
+        int_polys: list[tuple[int, list[IntPoly]]] = []
+        width = field.in_dim
+
+        def row(k: int) -> list[tuple[int, tuple[int, ...]]] | None:
+            key = index.keys[k]
+            ks = [key // stride % radix for *_, stride, radix in axes]
+            step = [(kx - kb) * w for kx, kb, w in zip(ks, kbar, weights)]
+            d = max(map(abs, step))
+            if d == 0:
+                return None
+            ops = overrides.get(key)
+            if ops is not None:
+                at_x = [applied(functionals(T), step) for T in ops]
+                at_base = [applied(rows, step) for rows in base]
+                return [(sx * sb * d, tuple(sb * t - sx * u for t, u in zip(tx, ub)))
+                        for sx, tx in at_x for sb, ub in at_base]
+            if not field.formulas:
+                raise ValueError(f"operator field has no operator at {index.points[k]}")
+            if not int_polys:
+                int_polys.extend(_int_polys(polys, dens) for polys in relative())
+            xs = [b + kx * unit for (b, unit, *_), kx in zip(axes, ks)]
+            out = []
+            for scale, polys in int_polys:
+                values = _int_eval(polys, xs)
+                out.append((scale * d, tuple(sum(map(mul, values[at:at + width], step))
+                                             for at in range(0, len(values), width))))
+            return out
+
+        return row
+
+    tables: dict[Fraction, tuple[list[RationalVector], Callable, list]] = {}
 
     def violator(bounds: list[int], den: int, radius: Fraction) -> RationalVector | None:
         """The first point in lexicographic order with no pair satisfying
         eps, given as <a, eps> = bounds[a] / den."""
         if radius not in tables:
-            grid = GridSpec(BoxSet.ball(xbar, radius), points_per_axis)
-            tables[radius] = (grid.points(extra=extra), [])
-        points, rows = tables[radius]
+            index = template.ball(xbar, radius).lattice(extra, 1)
+            tables[radius] = (index.points, pairings(index), [])
+        points, row, rows = tables[radius]
         for k, x in enumerate(points):
             if k == len(rows):
-                rows.append(pairings(x))
+                rows.append(row(k))
             pairs = rows[k]
-            if pairs is not None and not any(
-                    all(p * den <= e * scale for p, e in zip(pair, bounds))
-                    for scale, pair in pairs):
+            if pairs is None:
+                continue
+            for scale, pair in pairs:
+                for p, e in zip(pair, bounds):
+                    if p * den > e * scale:
+                        break
+                else:
+                    break  # this pair satisfies eps at x
+            else:
                 return x
         return None
 

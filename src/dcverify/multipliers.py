@@ -25,6 +25,11 @@ On top of the core sit the theorem engines:
   modes, and the proper target restricts the objective multiplier to the
   strict polar or zero.
 
+The subgradient rows are formed as ints from the grid's value tables of F
+and H (``problem.PointTable``); pruning and deduplication (``_grid_rows``)
+read the ints, and only the rows that survive become ``Fraction``
+constraints, with the values, labels and order the LP always had.
+
 One function, ``_solve_multipliers``, poses, solves and certifies every
 multiplier system: a prefix built once per engine call (the dual-cone rows,
 the complementarity equality when the mode carries one, then scale fixing)
@@ -42,18 +47,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cones import (
     PolyhedralCone,
     RationalVector,
-    _cleared,
+    _dot,
     _int_primitive,
     as_fraction,
     cone_contains,
     format_rational,
 )
-from .pareto import NeighborhoodSpec, _local_points, check_eps_weak_local_min
+from .pareto import NeighborhoodSpec, check_eps_weak_local_min
 from .problem import DCProblem, GridSpec, VectorMap, check_convexlike
 from .subdiff import LinearOperator
 
@@ -430,29 +435,39 @@ def _ystar_strict_rows(K: PolyhedralCone, D: PolyhedralCone, target: str) -> lis
     raise ValueError(f"unknown target {target!r}")
 
 
-def _grid_rows(entries: list[tuple[RationalVector, RationalVector, str]],
-               K: PolyhedralCone, D: PolyhedralCone) -> list[Constraint]:
+def _grid_rows(entries: Iterable[tuple[RationalVector, int, Sequence[int], int, Sequence[int]]],
+               K: PolyhedralCone, D: PolyhedralCone, label: str) -> list[Constraint]:
     """Nonnegativity rows, with exact pruning and deduplication.
 
-    Rows whose coefficient vectors lie in the primal cones are implied by
-    the dual-cone constraints and are dropped; zero rows are trivially true;
-    homogeneous rows equal up to positive scaling collapse to one.
+    Each entry (x, sy, cy, sz, cz) is the row (cy / sy; cz / sz) at the
+    point x, as int vectors over positive scales.  Rows whose coefficient
+    vectors lie in the primal cones are implied by the dual-cone
+    constraints and are dropped; zero rows are trivially true; homogeneous
+    rows equal up to positive scaling collapse to one.  All three tests
+    read the ints; only the rows kept become ``Fraction`` constraints,
+    labelled "<label> x=<x>".
     """
-    y_dim, z_dim = K.dim, D.dim
     out: list[Constraint] = []
     seen: set[tuple[int, ...]] = set()
-    for coeff_y, coeff_z, label in entries:
-        coeffs = _pad(coeff_y, coeff_z, y_dim, z_dim)
-        if all(v == 0 for v in coeffs):
+    for x, sy, cy, sz, cz in entries:
+        if not any(cy) and not any(cz):
             continue
-        if cone_contains(K, coeff_y) and cone_contains(D, coeff_z):
+        if all(_dot(a, cy) >= 0 for a in K.normals) and all(_dot(b, cz) >= 0 for b in D.normals):
             continue
-        key = _int_primitive(_cleared(coeffs))
+        common = math.lcm(sy, sz)
+        key = _int_primitive([v * (common // sy) for v in cy] + [v * (common // sz) for v in cz])
         if key in seen:
             continue
         seen.add(key)
-        out.append(Constraint(coeffs, "ge", Fraction(0), label))
+        coeffs = tuple(Fraction(v, sy) for v in cy) + tuple(Fraction(v, sz) for v in cz)
+        out.append(Constraint(coeffs, "ge", Fraction(0), f"{label} x={x}"))
     return out
+
+
+def _scaled(v: RationalVector) -> tuple[int, list[int]]:
+    """(s, ints): v as ints over the positive scale s."""
+    s = math.lcm(*(c.denominator for c in v))
+    return s, [c.numerator * (s // c.denominator) for c in v]
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +506,8 @@ def alternative_system(Fmap: VectorMap, Gmap: VectorMap, K: PolyhedralCone,
         fx, gx = Fmap.evaluate(x), Gmap.evaluate(x)
         if cone_contains(K, -fx, strict=True) and cone_contains(D, -gx, strict=True):
             return AlternativeOutcome("SolutionExists", x=x, warnings=tuple(warnings))
-        entries.append((fx, gx, f"value-row x={x}"))
-    certificate = _solve_multipliers(_prefix(K, D), _grid_rows(entries, K, D), K.dim)
+        entries.append((x, *_scaled(fx), *_scaled(gx)))
+    certificate = _solve_multipliers(_prefix(K, D), _grid_rows(entries, K, D, "value-row"), K.dim)
     return AlternativeOutcome("GridGap" if certificate is None else "Multipliers",
                               certificate=certificate, warnings=tuple(warnings))
 
@@ -525,24 +540,32 @@ def _check_inputs(candidates_T: Sequence[LinearOperator],
         raise ValueError("candidate operator lists must be nonempty")
 
 
-def _local_values(problem: DCProblem, U: NeighborhoodSpec, grid: GridSpec) -> list[tuple]:
-    """(x, x - xbar, F(x) - F(xbar), H(x) - H(xbar)) for each local grid point,
-    so every map is evaluated once per point whatever the candidates."""
+def _local_values(problem: DCProblem, U: NeighborhoodSpec, grid: GridSpec) -> tuple:
+    """(table, positions, points, F(xbar), H(xbar)) for the certification
+    points within U of xbar: the grid's tables hold F and H at every point,
+    so no map is evaluated again whatever the candidates."""
+    table = problem.certification_table(grid)
+    local = table.within(problem.xbar, U.radius)
+    points = problem.certification_points(grid)
     xbar = problem.xbar
-    F_base, H_base = problem.F.evaluate(xbar), problem.H.evaluate(xbar)
-    return [(x, x - xbar, problem.F.evaluate(x) - F_base, problem.H.evaluate(x) - H_base)
-            for x in _local_points(problem, U, grid)]
+    return (table, local, [points[i] for i in local],
+            problem.F.evaluate(xbar), problem.H.evaluate(xbar))
 
 
-def _subgradient_rows(problem: DCProblem, values: list[tuple], T: LinearOperator,
+def _subgradient_rows(problem: DCProblem, values: tuple, T: LinearOperator,
                       L: LinearOperator, eps: RationalVector | None = None) -> list[Constraint]:
     """Rows F(x) - F(xbar) - moved_y and H(x) - H(xbar) - moved_z over the
-    local points, with moved_y = T(x - xbar) - eps and moved_z = L(x - xbar)."""
-    entries = []
-    for x, step, dF, dH in values:
-        moved_y = T.apply(step) if eps is None else T.apply(step) - eps
-        entries.append((dF - moved_y, dH - L.apply(step), f"subgradient-row x={x}"))
-    return _grid_rows(entries, problem.K, problem.D)
+    local points, with moved_y = T(x - xbar) - eps and moved_z = L(x - xbar),
+    formed as ints from the grid's tables."""
+    table, local, points, F_base, H_base = values
+    xbar = problem.xbar
+    sy, ys = table.affine(problem.F, F_base, T.matrix,
+                          eps if eps is not None else RationalVector.zero(problem.y_dim),
+                          xbar, local)
+    sz, zs = table.affine(problem.H, H_base, L.matrix, RationalVector.zero(problem.z_dim),
+                          xbar, local)
+    return _grid_rows(((x, sy, cy, sz, cz) for x, cy, cz in zip(points, ys, zs)),
+                      problem.K, problem.D, "subgradient-row")
 
 
 def _zero_rows(first: int, count: int, width: int, label: str) -> list[Constraint]:

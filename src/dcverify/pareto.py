@@ -15,14 +15,22 @@ existential over K' is sampled from a rational shear family
 which keeps every generator rational (rotation-based dilations would not)
 and covers the two-dimensional nonnegative-orthant setting this toolkit
 certifies.  "NotCertified" is therefore weaker than "not proper".
+
+Both checks read F and G from the grid's value tables of the certification
+points (`problem.PointTable`) and feasibility from the flags the grid keeps
+(`feasible_positions`), so each objective difference is an int vector over
+one scale and each cone test compares its integer pairings with the normals.
+Only a witness's difference turns back into ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Iterable, Iterator
 
-from .cones import PolyhedralCone, RationalVector, as_fraction, cone_contains, nonnegative_orthant
+from .cones import PolyhedralCone, RationalVector, _dot, as_fraction, nonnegative_orthant
 from .problem import DCProblem, GridSpec, feasible_contains
 
 DEFAULT_SHEARS = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
@@ -90,26 +98,54 @@ class ProperMinVerdict:
         return self.status == "CertifiedOnGrid"
 
 
-def _local_points(problem: DCProblem, U: NeighborhoodSpec, grid: GridSpec) -> list[RationalVector]:
-    return [x for x in problem.certification_points(grid)
-            if U.contains(x, problem.xbar)]
+def feasible_positions(problem: DCProblem, grid: GridSpec, positions: Iterable[int]) -> list[int]:
+    """The positions, among the given ones, of the feasible certification
+    points.  Each point is tested by `feasible_contains` the first time a
+    grid is asked about it, and the grid's certification table keeps the
+    flag."""
+    table = problem.certification_table(grid)
+    flags = table.flags.setdefault(id(problem), (problem, {}))[1]
+    points = None
+    feasible = []
+    for i in positions:
+        ok = flags.get(i)
+        if ok is None:
+            points = points or problem.certification_points(grid)
+            ok = flags[i] = feasible_contains(problem, points[i])
+        if ok:
+            feasible.append(i)
+    return feasible
 
 
-def _local_feasible_points(problem: DCProblem, U: NeighborhoodSpec, grid: GridSpec):
-    return (x for x in _local_points(problem, U, grid) if feasible_contains(problem, x))
+def _objective_rows(problem: DCProblem, U: NeighborhoodSpec,
+                    grid: GridSpec) -> tuple[int, Iterator[tuple[int, list[int]]]]:
+    """(M, rows): for each feasible certification point within U of xbar,
+    in list order, its position and M * (F(x) - G(x) - (F - G)(xbar) + eps)
+    as ints, read from the grid's tables; M > 0 is one common scale."""
+    table = problem.certification_table(grid)
+    F, G = table.values(problem.F), table.values(problem.G)
+    shift = problem.eps - problem.objective(problem.xbar)
+    scale = lcm(F.scale, G.scale, *(c.denominator for c in shift))
+    f, g = scale // F.scale, scale // G.scale
+    offsets = [c.numerator * (scale // c.denominator) for c in shift]
+    local = feasible_positions(problem, grid, table.within(problem.xbar, U.radius))
+    return scale, ((i, [f * a - g * b + c for a, b, c in zip(F.rows[i], G.rows[i], offsets)])
+                   for i in local)
 
 
 def check_eps_weak_local_min(problem: DCProblem, U: NeighborhoodSpec,
                              grid: GridSpec) -> WeakMinVerdict:
     """Certify on the grid, or falsify with the exact witness point and its
-    objective difference vector."""
-    base = problem.objective(problem.xbar)
+    objective difference vector.  The difference is in -int K exactly when
+    each of its integer pairings with the normals of K is negative."""
+    scale, rows = _objective_rows(problem, U, grid)
     checked = 0
-    for x in _local_feasible_points(problem, U, grid):
+    for i, diff in rows:
         checked += 1
-        diff = problem.objective(x) - base + problem.eps
-        if cone_contains(problem.K, -diff, strict=True):
-            return WeakMinVerdict("Falsified", x, diff, checked)
+        if all(_dot(a, diff) < 0 for a in problem.K.interior_normals()):
+            witness = problem.certification_points(grid)[i]
+            value = RationalVector(tuple(Fraction(v, scale) for v in diff))
+            return WeakMinVerdict("Falsified", witness, value, checked)
     return WeakMinVerdict("CertifiedOnGrid", checked=checked)
 
 
@@ -124,12 +160,11 @@ def check_eps_proper_local_min(problem: DCProblem, U: NeighborhoodSpec,
     if problem.y_dim != 2 or problem.K != nonnegative_orthant(2):
         raise ValueError("proper-minimality certification supports y_dim=2 with "
                          "the nonnegative orthant ordering cone only")
-    base = problem.objective(problem.xbar)
-    diffs = []
-    for x in _local_feasible_points(problem, U, grid):
-        diffs.append(problem.objective(x) - base + problem.eps)
+    _, rows = _objective_rows(problem, U, grid)
+    diffs = [diff for _, diff in rows]
     for m in family.shears:
-        dilated = family.cone(m)
-        if all(not cone_contains(dilated, -d, strict=True) for d in diffs):
+        # -d is interior to the dilated cone unless some pairing of d is >= 0
+        normals = family.cone(m).normals
+        if all(any(_dot(a, d) >= 0 for a in normals) for d in diffs):
             return ProperMinVerdict("CertifiedOnGrid", shear=m, checked=len(diffs))
     return ProperMinVerdict("NotCertified", checked=len(diffs))

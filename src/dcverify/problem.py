@@ -15,6 +15,14 @@ instances need.
 Convexity and convexlikeness are certified by sampling: the verdicts are
 grid-relative ("NotFalsified", never "Proved"), and a Falsified verdict
 always carries an exact witness that re-checks by direct evaluation.
+
+A `GridSpec` keeps, for as long as it lives, what its points determine:
+each point list, the list's integer lattice index, and the list's value
+tables (`PointTable`), which hold each map as integers over one positive
+scale at every point, evaluated once per point.  The engines read those
+tables; `VectorMap.evaluate`, `DCProblem.objective` and `feasible_contains`
+stay the single-point functions for the base point, for witnesses and for
+library callers.
 """
 
 from __future__ import annotations
@@ -24,9 +32,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from fractions import Fraction
-from math import gcd, lcm, prod
-from operator import and_
-from typing import Iterable, NamedTuple, Sequence
+from math import ceil, floor, gcd, lcm, prod
+from operator import and_, mul
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cones import (
     DimensionMismatchError,
@@ -38,6 +46,8 @@ from .cones import (
 
 # one monomial: (exponent tuple, coefficient)
 Monomial = tuple[tuple[int, ...], Fraction]
+# a polynomial with int coefficients, as its monomials
+IntPoly = list[tuple[tuple[int, ...], int]]
 
 DEFAULT_LAMBDAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
@@ -56,6 +66,30 @@ def _eval_poly(monomials: Sequence[Monomial], x: Sequence[Fraction]) -> Fraction
         num = num * (d // g) + n * (den // g)
         den *= d // g
     return Fraction(num, den)
+
+
+def _int_polys(polys: Sequence[Sequence[Monomial]], dens: Sequence[int],
+               extra_dens: Iterable[int] = ()) -> tuple[int, list[IntPoly]]:
+    """(scale, polys): scale times each polynomial, as an integer polynomial
+    in the numerators X_d of the coordinates X_d / dens[d].  The scale is
+    the least positive int that makes every coefficient integral and is a
+    multiple of every one of extra_dens."""
+    monomial_dens = [[coeff.denominator * prod(den ** e for den, e in zip(dens, exponents))
+                      for exponents, coeff in monos] for monos in polys]
+    scale = lcm(*(den for row in monomial_dens for den in row), *extra_dens)
+    return scale, [[(exponents, coeff.numerator * (scale // den))
+                    for (exponents, coeff), den in zip(monos, row)]
+                   for monos, row in zip(polys, monomial_dens)]
+
+
+def _int_eval(polys: Sequence[IntPoly], xs: Sequence[int]) -> list[int]:
+    out = []
+    for poly in polys:
+        total = 0
+        for exponents, c in poly:
+            total += c * prod(map(pow, xs, exponents))
+        out.append(total)
+    return out
 
 
 @dataclass(frozen=True)
@@ -175,6 +209,174 @@ class _LatticeIndex(NamedTuple):
     extra_keys: dict[tuple[Fraction, ...], int]
 
 
+class _LatticeMap:
+    """One map on one lattice index, as integers: scale * map(x) at each
+    fine key, with one positive scale for the whole lattice.
+
+    The map's polynomials become integer polynomials in the numerators
+    base_d + K_d*unit_d of the fine coordinates, and the values of its
+    exceptional points in the box override them at their keys.  `_row`
+    says what a value becomes in the tables of a subclass.
+    """
+
+    def __init__(self, vmap: VectorMap, index: _LatticeIndex, q: int) -> None:
+        self._axes = index.axes
+        self.scale, self._polys = _int_polys(
+            vmap.coords, index.dens, (v.denominator for _, value in vmap.exceptions for v in value))
+        self._overrides = {q * index.extra_keys[p.coords]: [int(v * self.scale) for v in value]
+                           for p, value in vmap.exceptions if p.coords in index.extra_keys}
+
+    def _row(self, ys: Sequence[int]) -> tuple[int, ...]:
+        return tuple(ys)
+
+    def _poly_at(self, key: int) -> list[int]:
+        """scale * map(x) by the polynomial, at packed fine key: the one
+        place the map is evaluated directly."""
+        return _int_eval(self._polys, [base + key // stride % radix * unit
+                                       for base, unit, stride, radix in self._axes])
+
+    def _ys(self, key: int) -> list[int]:
+        ys = self._overrides.get(key)
+        return self._poly_at(key) if ys is None else ys
+
+    def _tabulate_line(self, size: int) -> list[list[int]]:
+        """The rows at keys 0 .. size-1 of a line lattice, one list per
+        entry of a row.
+
+        Along the line each entry is a polynomial in the key of at most the
+        degree d of the map in the varying coordinate, with integer values.
+        It is evaluated directly at keys 0 .. d, and every further value
+        comes from its forward-difference table by d integer additions (the
+        method of differences; Knuth, TAOCP vol. 2, 4.6.4).  On a line of
+        size at most d, the table of degree size - 1 through the keys it
+        has is exact.  Exceptional keys then override their single values.
+        """
+        degree = max((e for poly in self._polys for exponents, _ in poly
+                      for e, (*_, radix) in zip(exponents, self._axes) if radix > 1), default=0)
+        d = min(degree, size - 1)
+        rows = [self._row(self._poly_at(key)) for key in range(d + 1)]
+        # the forward differences of orders 0 .. d at key 0
+        heads = []
+        while rows:
+            heads.append(rows[0])
+            rows = [tuple(b - a for a, b in zip(r, s)) for r, s in zip(rows, rows[1:])]
+        columns = []
+        for head in zip(*heads):
+            # row m of the table is the running sum of row m + 1 from head[m]
+            column = [head[-1]] * size
+            for start in reversed(head[:-1]):
+                column = list(itertools.accumulate(column[:-1], initial=start))
+            columns.append(column)
+        for key, ys in self._overrides.items():
+            for column, value in zip(columns, self._row(ys)):
+                column[key] = value
+        return columns
+
+
+class _MapTable(_LatticeMap):
+    """scale * map(x) as ints at every point of one point list (q = 1), in
+    list order (`rows`).
+
+    When the points vary along at most one axis and the line through them
+    has at most twice as many keys as points, the line is tabulated by
+    differences; otherwise each point is evaluated by the polynomial.
+    """
+
+    def __init__(self, vmap: VectorMap, index: _LatticeIndex) -> None:
+        super().__init__(vmap, index, 1)
+        keys = index.keys
+        radices = [radix for *_, radix in self._axes]
+        size = prod(radices)
+        if sum(radix > 1 for radix in radices) <= 1 and size <= 2 * len(keys):
+            line = list(zip(*self._tabulate_line(size)))
+            self.rows = [line[key] for key in keys]
+        else:
+            self.rows = [self._row(self._ys(key)) for key in keys]
+
+
+class PointTable:
+    """Integer value tables of one point list of a grid.
+
+    The tables sit on the list's lattice index for q = 1, so the point at
+    position i is x_d = (base_d + K_d*unit_d) / den_d with K = `ks[i]`.
+    `values(vmap)` holds scale * vmap(x) as ints at every point, one
+    positive scale per map, computed the first time a map is asked for:
+    each map is evaluated at most once per point, and exceptional values
+    override.  The engines compare integer pairings of these rows with the
+    cone normals; only witnesses and the LP rows that survive pruning turn
+    back into Fractions.  `flags` keeps, per problem whose certification
+    list this is, the feasibility flag of each point tested so far
+    (`pareto.feasible_positions`).
+    Maps and problems are keyed by identity, and each entry keeps its key
+    object alive, so no key is reused while the table lives.
+    """
+
+    def __init__(self, index: _LatticeIndex) -> None:
+        self.index = index
+        self._maps: dict[int, tuple[VectorMap, _MapTable]] = {}
+        self._balls: dict[tuple, list[int]] = {}
+        self.flags: dict[int, tuple[DCProblem, dict[int, bool]]] = {}
+
+    @cached_property
+    def ks(self) -> list[tuple[int, ...]]:
+        axes = self.index.axes
+        return [tuple(key // stride % radix for _, _, stride, radix in axes)
+                for key in self.index.keys]
+
+    def values(self, vmap: VectorMap) -> _MapTable:
+        hit = self._maps.get(id(vmap))
+        if hit is None:
+            if vmap.in_dim != len(self.index.axes):
+                raise DimensionMismatchError(
+                    f"point dim {len(self.index.axes)} vs map in_dim {vmap.in_dim}")
+            hit = self._maps[id(vmap)] = (vmap, _MapTable(vmap, self.index))
+        return hit[1]
+
+    def _frame(self) -> tuple[list[Fraction], list[Fraction]]:
+        """(lo, h): x_d = lo_d + K_d*h_d."""
+        axes = list(zip(self.index.axes, self.index.dens))
+        return ([Fraction(base, den) for (base, *_), den in axes],
+                [Fraction(unit, den) for (_, unit, *_), den in axes])
+
+    def within(self, center: RationalVector, radius: Fraction) -> list[int]:
+        """The positions of the points x with max-norm |x - center| <=
+        radius, computed once per (center, radius)."""
+        hit = self._balls.get((center.coords, radius))
+        if hit is None:
+            bounds = [(ceil((c - radius - lo) / h), floor((c + radius - lo) / h))
+                      for c, lo, h in zip(center, *self._frame())]
+            hit = self._balls[center.coords, radius] = [
+                i for i, ks in enumerate(self.ks)
+                if all(a <= k <= b for k, (a, b) in zip(ks, bounds))]
+        return hit
+
+    def affine(self, vmap: VectorMap, base: RationalVector, matrix: Sequence[Sequence[Fraction]],
+               shift: RationalVector, center: RationalVector,
+               positions: Iterable[int]) -> tuple[int, Iterator[list[int]]]:
+        """(M, rows): M * (vmap(x) - base - A(x - center) + shift) as ints,
+        lazily, for the point x at each position, with A the matrix, base
+        the value vmap(center) and M > 0 the least common scale.
+
+        With x_d = lo_d + K_d*h_d each entry is (M/scale) * table value -
+        sum_d M*A_rd*h_d * K_d + a constant, all integers.
+        """
+        table = self.values(vmap)
+        if len(matrix) != vmap.out_dim or any(len(row) != vmap.in_dim for row in matrix):
+            raise DimensionMismatchError("operator shape does not match the map")
+        los, hs = self._frame()
+        consts = [s - b - sum((a * (lo - c) for a, lo, c in zip(row, los, center)), Fraction(0))
+                  for row, b, s in zip(matrix, base, shift)]
+        slopes = [[a * h for a, h in zip(row, hs)] for row in matrix]
+        scale = lcm(table.scale, *(c.denominator for c in consts),
+                    *(g.denominator for row in slopes for g in row))
+        f = scale // table.scale
+        ints = [[g.numerator * (scale // g.denominator) for g in row] for row in slopes]
+        offsets = [c.numerator * (scale // c.denominator) for c in consts]
+        rows, ks = table.rows, self.ks
+        return scale, ([f * y - sum(map(mul, coeffs, ks[i])) + c
+                        for y, coeffs, c in zip(rows[i], ints, offsets)] for i in positions)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Exact rational grid: affine subdivisions of a box, points per axis.
@@ -184,7 +386,9 @@ class GridSpec:
     built once per instance and kept, keyed by the extra points that fall
     inside the box, for as long as the instance lives; every caller gets
     its own copy of the list.  The integer lattice index of a list
-    (`lattice`) is kept the same way, keyed by those extra points and q.
+    (`lattice`) is kept the same way, keyed by those extra points and q, and
+    so are the value tables of a list (`table`) and the ball grids built
+    from this one (`ball`).  Nothing is kept past the instance.
     """
 
     box: BoxSet
@@ -192,6 +396,10 @@ class GridSpec:
     _lists: dict[frozenset, list[RationalVector]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _indexes: dict[tuple[frozenset, int], _LatticeIndex] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict[frozenset, PointTable] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _balls: dict[tuple, GridSpec] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -251,11 +459,32 @@ class GridSpec:
         combination never leaves the box, so combinations can be formed on
         the packed keys.  Built the first time it is asked for.
         """
-        inside = self._inside(extra)
+        return self._index(self._inside(extra), q)
+
+    def _index(self, inside: frozenset, q: int) -> _LatticeIndex:
         index = self._indexes.get((inside, q))
         if index is None:
             index = self._indexes[inside, q] = self._build_index(inside, q)
         return index
+
+    def table(self, extra: Iterable[RationalVector]) -> PointTable:
+        """The value tables of `points(extra)`, on its lattice index for
+        q = 1; built the first time they are asked for."""
+        inside = self._inside(extra)
+        table = self._tables.get(inside)
+        if table is None:
+            table = self._tables[inside] = PointTable(self._index(inside, 1))
+        return table
+
+    def ball(self, center: RationalVector, radius: Fraction) -> GridSpec:
+        """The grid with these points per axis on the max-norm ball of the
+        radius around the center; built the first time it is asked for, so
+        every scan of that ball shares its lists and indexes."""
+        key = (center.coords, radius)
+        grid = self._balls.get(key)
+        if grid is None:
+            grid = self._balls[key] = GridSpec(BoxSet.ball(center, radius), self.points_per_axis)
+        return grid
 
     def _build_index(self, inside: frozenset, q: int) -> _LatticeIndex:
         lower = self.box.lower.coords
@@ -343,6 +572,10 @@ class DCProblem:
         """Grid points merged with xbar and all exceptional points in C."""
         return grid.points(extra=self.exception_points() + [self.xbar])
 
+    def certification_table(self, grid: GridSpec) -> PointTable:
+        """The value tables of `certification_points(grid)`."""
+        return grid.table(self.exception_points() + [self.xbar])
+
 
 def feasible_contains(problem: DCProblem, x: RationalVector) -> bool:
     """x in C and H(x) - S(x) in -D, both exact."""
@@ -383,7 +616,7 @@ def _at_least(row: Sequence[int], other: Sequence[int]) -> bool:
     return all(x >= y for x, y in zip(row, other))
 
 
-class _Lattice:
+class _Lattice(_LatticeMap):
     """Integer values of one map over one grid, shared by both convexity
     scans.
 
@@ -409,17 +642,8 @@ class _Lattice:
         self.lams = _pair_lambdas(lambdas)
         self.q = lcm(*(lam.denominator for lam in self.lams))
         index = grid.lattice(vmap.exception_points(), self.q)
-        self.points, self.keys, self._axes = index.points, index.keys, index.axes
-        # D * map as integer polynomials in the numerators base_d + K_d*unit_d
-        monomial_dens = [[coeff.denominator * prod(den ** e for den, e in zip(index.dens, exponents))
-                          for exponents, coeff in monos] for monos in vmap.coords]
-        scale = lcm(*(den for row in monomial_dens for den in row),
-                    *(v.denominator for _, value in vmap.exceptions for v in value))
-        self._polys = [[(exponents, coeff.numerator * (scale // den))
-                        for (exponents, coeff), den in zip(monos, row)]
-                       for monos, row in zip(vmap.coords, monomial_dens)]
-        self._overrides = {self.q * index.extra_keys[p.coords]: [int(v * scale) for v in value]
-                           for p, value in vmap.exceptions if p.coords in index.extra_keys}
+        super().__init__(vmap, index, self.q)
+        self.points, self.keys = index.points, index.keys
         self.normals = cone.normals
         lam_set = set(self.lams)
         # (lam, w, mirrored) in list order; mirrored when 1 - lam is not listed
@@ -435,7 +659,8 @@ class _Lattice:
 
     @cached_property
     def line(self) -> list[list[int]] | None:
-        """The whole fine lattice by `_tabulate_line` when it is a line
+        """The whole fine lattice by `_tabulate_line`, one list per
+        halfspace normal and also stored in the memo, when it is a line
         that is not longer than the scan: at most one radix is above 1, so
         the keys are 0 .. size-1, and size is at most the number of (pair,
         lambda, orientation) tests.  None otherwise."""
@@ -445,60 +670,20 @@ class _Lattice:
         tests = n * (n - 1) // 2 * sum(1 + mirrored for *_, mirrored in self._plan)
         if sum(radix > 1 for radix in radices) > 1 or size > tests:
             return None
-        return self._tabulate_line(size)
+        columns = self._tabulate_line(size)
+        self._memo.update(zip(range(size), zip(*columns)))
+        return columns
 
-    def _poly_at(self, key: int) -> list[int]:
-        """D * map(x) by the polynomial, at packed fine key: the one place
-        the map is evaluated directly."""
-        xs = [base + key // stride % radix * unit for base, unit, stride, radix in self._axes]
-        return [sum(c * prod(x ** e for x, e in zip(xs, exponents)) for exponents, c in poly)
-                for poly in self._polys]
-
-    def _pairings(self, ys: Sequence[int]) -> tuple[int, ...]:
+    def _row(self, ys: Sequence[int]) -> tuple[int, ...]:
+        """D * <a, map(x)> for each halfspace normal a."""
         return tuple(sum(ai * yi for ai, yi in zip(a, ys)) for a in self.normals)
 
     def value(self, key: int) -> tuple[int, ...]:
-        """D * <a, map(x)> for each halfspace normal a, at packed fine key."""
+        """The pairings at packed fine key."""
         hit = self._memo.get(key)
         if hit is None:
-            ys = self._overrides.get(key)
-            hit = self._memo[key] = self._pairings(self._poly_at(key) if ys is None else ys)
+            hit = self._memo[key] = self._row(self._ys(key))
         return hit
-
-    def _tabulate_line(self, size: int) -> list[list[int]]:
-        """The values at keys 0 .. size-1 of a line lattice, one list per
-        halfspace normal, also stored in the memo.
-
-        Along the line each pairing is a polynomial in the key of at most
-        the degree d of the map in the varying coordinate, with integer
-        values.  It is evaluated directly at keys 0 .. d, and every further
-        value comes from its forward-difference table by d integer
-        additions (the method of differences; Knuth, TAOCP vol. 2, 4.6.4).
-        On a line of size at most d, the table of degree size - 1 through
-        the keys it has is exact.  Exceptional keys then override their
-        single values.
-        """
-        degree = max((e for poly in self._polys for exponents, _ in poly
-                      for e, (*_, radix) in zip(exponents, self._axes) if radix > 1), default=0)
-        d = min(degree, size - 1)
-        rows = [self._pairings(self._poly_at(key)) for key in range(d + 1)]
-        # the forward differences of orders 0 .. d at key 0
-        heads = []
-        while rows:
-            heads.append(rows[0])
-            rows = [tuple(b - a for a, b in zip(r, s)) for r, s in zip(rows, rows[1:])]
-        columns = []
-        for head in zip(*heads):
-            # row m of the table is the running sum of row m + 1 from head[m]
-            column = [head[-1]] * size
-            for start in reversed(head[:-1]):
-                column = list(itertools.accumulate(column[:-1], initial=start))
-            columns.append(column)
-        for key, ys in self._overrides.items():
-            for column, value in zip(columns, self._pairings(ys)):
-                column[key] = value
-        self._memo.update(zip(range(size), zip(*columns)))
-        return columns
 
     def pairs(self):
         """(a, b, lam, w) with lam = w/q, in scan order: index pairs i < j

@@ -34,6 +34,7 @@ from .pareto import (
     NeighborhoodSpec,
     check_eps_proper_local_min,
     check_eps_weak_local_min,
+    feasible_positions,
 )
 from .problem import (
     BoxSet,
@@ -41,7 +42,6 @@ from .problem import (
     VectorMap,
     check_cone_convex,
     check_convexlike,
-    feasible_contains,
 )
 from .problemfile import ParsedProblem, parse_problem
 from .report import CheckResult, Report, vec_strs
@@ -96,16 +96,19 @@ def _triple_data(witness: tuple) -> dict:
 def omega_result(parsed: ParsedProblem, grid: GridSpec) -> CheckResult:
     problem = parsed.problem
     pts = problem.certification_points(grid)
-    feasible = [x for x in pts if feasible_contains(problem, x)]
-    xbar_ok = feasible_contains(problem, problem.xbar)
+    positions = feasible_positions(problem, grid, range(len(pts)))
+    # the list is in lexicographic order, so its first and last feasible
+    # points are the least and the greatest
+    feasible = [pts[i] for i in positions]
+    xbar_ok = problem.xbar in feasible
     data = {
         "feasible": str(len(feasible)),
         "total": str(len(pts)),
         "xbar_feasible": "true" if xbar_ok else "false",
     }
     if feasible:
-        data["min"] = [format_rational(c) for c in min(f.coords for f in feasible)]
-        data["max"] = [format_rational(c) for c in max(f.coords for f in feasible)]
+        data["min"] = [format_rational(c) for c in feasible[0]]
+        data["max"] = [format_rational(c) for c in feasible[-1]]
     return CheckResult("feasible-set", "CertifiedOnGrid" if xbar_ok else "Falsified",
                        params=_params(grid), data=data)
 

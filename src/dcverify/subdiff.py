@@ -19,6 +19,7 @@ from .cones import (
     DimensionMismatchError,
     PolyhedralCone,
     RationalVector,
+    _dot,
     as_fraction,
     cone_contains,
 )
@@ -97,15 +98,19 @@ def strong_subdiff_contains(vmap: VectorMap, cone: PolyhedralCone, xbar: Rationa
 def eps_subdiff_contains(vmap: VectorMap, cone: PolyhedralCone, xbar: RationalVector,
                          T: LinearOperator, eps: RationalVector, grid: GridSpec) -> SubdiffVerdict:
     """Check map(x) - map(xbar) - T(x - xbar) + eps in cone for every grid x;
-    eps must be a cone member."""
+    eps must be a cone member.  The differences are formed as ints from the
+    grid's value table of the map (`PointTable.affine`) and tested by their
+    pairings with the cone normals."""
     if not cone_contains(cone, eps):
         raise ValueError("eps not in the ordering cone")
     if T.out_dim != vmap.out_dim or T.in_dim != vmap.in_dim:
         raise DimensionMismatchError("operator shape does not match the map")
-    base = vmap.evaluate(xbar)
-    for x in grid.points(extra=vmap.exception_points() + [xbar]):
-        diff = vmap.evaluate(x) - base - T.apply(x - xbar) + eps
-        if not cone_contains(cone, diff):
+    extra = vmap.exception_points() + [xbar]
+    points = grid.points(extra=extra)
+    _, rows = grid.table(extra).affine(vmap, vmap.evaluate(xbar), T.matrix, eps, xbar,
+                                       range(len(points)))
+    for x, diff in zip(points, rows):
+        if any(_dot(a, diff) < 0 for a in cone.normals):
             return SubdiffVerdict("Falsified", x)
     return SubdiffVerdict("CertifiedOnGrid", None)
 

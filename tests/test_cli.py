@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dcverify.cli import main
+from dcverify.scenarios import CHECK_KINDS
 
 
 @pytest.fixture()
@@ -145,29 +146,52 @@ class TestScenarioSteps:
 
 class TestNoStateAcrossCommands:
     def test_second_problem_reports_as_if_run_first(self, capsysbinary, tmp_path):
-        """Problem B, with the box and grid of problem A but other maps and
-        another xbar, reports the same bytes after A has run in the same
-        process as it does first in a fresh one."""
+        """Problem B, with the box and grid of problem A but other maps F,
+        G, H and S and another xbar, reports the same bytes for every check
+        kind after A has run in the same process as it does first in a
+        fresh one, so no table kept on a grid or keyed by a map leaks
+        between commands."""
         text = files("dcverify").joinpath("problems", "example_3_1.problem").read_text("utf-8")
         first, second = tmp_path / "a.problem", tmp_path / "b.problem"
-        other = (text.replace("poly 0 = 1 2\npoly 1 = 2 2", "poly 0 = 1 2, -1 1\npoly 1 = 3 3")
-                 .replace("xbar = 0", "xbar = 1/4"))
-        assert "poly 1 = 3 3" in other and "xbar = 1/4" in other
+        edits = (("[map F]\npoly 0 = 1 4\n", "[map F]\npoly 0 = 1 4, 1 1\n"),
+                 ("poly 0 = 1 2\npoly 1 = 2 2", "poly 0 = 1 2, -1 1\npoly 1 = 3 3"),
+                 ("[map H]\npoly 0 = 1 1\n", "[map H]\npoly 0 = 1 1, -1/2 0\n"),
+                 ("[map S]\npoly 0 = 1 1, 1 0\n", "[map S]\npoly 0 = 1 1, 1 0\npoly 1 = 1 2\n"),
+                 ("xbar = 0", "xbar = 3/4"))
+        other = text
+        for old, new in edits:
+            assert old in other
+            other = other.replace(old, new)
         first.write_text(text, encoding="utf-8")
         second.write_text(other, encoding="utf-8")
-        kinds = ("dissipative", "weak-min")
 
         def argv(path, kind):
-            return ["check", kind, "--problem", str(path), "--grid", "21", "--format", "machine"]
+            # the legacy mode, in which both problems' multiplier results differ
+            return ["check", kind, "--problem", str(path), "--grid", "21", "--mode", "legacy-gl",
+                    "--format", "machine"]
 
         fresh = [subprocess.run([sys.executable, "-m", "dcverify.cli", *argv(second, kind)],
                                 capture_output=True, timeout=300, check=True).stdout
-                 for kind in kinds]
-        before = [run_main(capsysbinary, argv(first, kind)) for kind in kinds]
-        after = [run_main(capsysbinary, argv(second, kind)) for kind in kinds]
+                 for kind in CHECK_KINDS]
+        before = [run_main(capsysbinary, argv(first, kind)) for kind in CHECK_KINDS]
+        after = [run_main(capsysbinary, argv(second, kind)) for kind in CHECK_KINDS]
         assert after == fresh
         assert all(json.loads(a)["results"] != json.loads(b)["results"]
                    for a, b in zip(before, after))
+
+
+class TestParserPerProcess:
+    def test_commands_in_one_process_print_what_fresh_ones_do(self, capsysbinary, problem_path):
+        """The parser is built once per process; a command that sets no
+        flag after ones that set several still gets every default."""
+        commands = (["scenario", "example-4-1"],
+                    ["check", "sufficient", "--problem", str(problem_path),
+                     "--mode", "legacy-gl", "--target", "proper"],
+                    ["check", "weak-min", "--problem", str(problem_path)])
+        fresh = [subprocess.run([sys.executable, "-m", "dcverify.cli", *argv],
+                                capture_output=True, timeout=300, check=True).stdout
+                 for argv in commands]
+        assert [run_main(capsysbinary, argv) for argv in commands] == fresh
 
 
 class TestEntryPoint:

@@ -187,8 +187,9 @@ class TestWorkCounts:
         per_grid = Counter((id(grid), inside) for grid, inside in grid_builds)
         assert max(per_grid.values()) == 1
         # the problem grid's two lists (no extras; xbar), then the ball grids
-        # of grad-G (4 radii) and grad-S (the first radius certifies)
-        assert len(grid_builds) == 7
+        # of grad-G (4 radii); grad-S certifies at the first radius, whose
+        # ball grid it shares with grad-G
+        assert len(grid_builds) == 6
 
 
 # --- the replaced engine, as the oracle ------------------------------------

@@ -29,7 +29,13 @@ from dcverify import (
     sufficient_condition,
 )
 from dcverify.cones import _cleared, _int_primitive
-from dcverify.multipliers import FeasibilityResult, SolverLimitError, _certificate, _grid_rows
+from dcverify.multipliers import (
+    FeasibilityResult,
+    SolverLimitError,
+    _certificate,
+    _grid_rows,
+    _scaled,
+)
 from conftest import scalar_map, scalar_problem
 
 V = RationalVector.of
@@ -163,10 +169,9 @@ def coefficient_rows(draw):
 @given(coefficient_rows())
 def test_grid_rows_key_groups_rows_as_primitive_does(rows):
     orthant = nonnegative_orthant(2)
-    entries = [(RationalVector(r[:1]), RationalVector(r[1:]), f"row {k}")
-               for k, r in enumerate(rows)]
+    vectors = [(RationalVector(r[:1]), RationalVector(r[1:])) for r in rows]
     kept, seen = [], set()
-    for y, z, label in entries:
+    for k, (y, z) in enumerate(vectors):
         v = RationalVector(y.coords + z.coords)
         if v.is_zero():
             continue
@@ -175,8 +180,10 @@ def test_grid_rows_key_groups_rows_as_primitive_does(rows):
             continue
         if v.primitive() not in seen:
             seen.add(v.primitive())
-            kept.append(label)
-    assert [c.label for c in _grid_rows(entries, RAY, orthant)] == kept
+            kept.append((f"row x={k}", v.coords))
+    # the rows go in as ints over one scale per side, as the engines pass them
+    entries = [(k, *_scaled(y), *_scaled(z)) for k, (y, z) in enumerate(vectors)]
+    assert [(c.label, c.coeffs) for c in _grid_rows(entries, RAY, orthant, "row")] == kept
 
 
 class TestSufficientCondition:
