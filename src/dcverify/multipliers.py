@@ -5,10 +5,12 @@ rational unknowns (the components of the multiplier pair) with relations
 ``>=``, ``==`` and ``>``.  Strict relations are handled by a shared slack
 variable bounded by one and maximized with a deterministic two-phase simplex
 under Bland's rule; the strict system is satisfiable exactly when the
-optimal slack is positive.  The tableau rows are Python integers, each the
-exact row times a positive scale, and pivots are fraction-free; feasible
-assignments are read back as exact ``Fraction`` values, and every
-certificate's residuals are exact and checked before it is returned.
+optimal slack is positive.  A tableau row is sparse: its nonzero entries as
+Python integers, the exact row times a positive scale.  Pivots are
+fraction-free and touch only stored entries; on a long grid system nearly
+all of the about m pivots are degenerate and update every row, each of
+about three stored entries.  Feasible assignments are read back as exact
+``Fraction`` values, and each certificate is checked exactly on its rows.
 
 On top of the core sit the theorem engines:
 
@@ -117,6 +119,10 @@ class LinearFeasibilityProblem:
         for c in self.constraints:
             if len(c.coeffs) != len(self.variables):
                 raise ValueError("constraint width does not match the variable count")
+            if c.relation not in ("ge", "eq", "gt"):
+                raise ValueError(f"unknown relation {c.relation!r}")
+            if not all(isinstance(v, (int, Fraction)) for v in (*c.coeffs, c.rhs)):
+                raise ValueError("constraint coefficients and rhs must be int or Fraction")
 
 
 @dataclass(frozen=True)
@@ -130,65 +136,75 @@ class FeasibilityResult:
         return self.status == "Feasible"
 
 
-def _reduced(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries.  The loop stops at the
-    first unit gcd, and unlike ``math.gcd(*row)`` it copies no row into an
-    argument tuple, which left the heap larger on long runs."""
-    g = 0
-    for v in row:
-        if v:
-            g = math.gcd(g, v)
-            if g == 1:
-                return row
-    return [v // g for v in row] if g > 1 else row
+def _reduced(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by the gcd of its stored entries."""
+    g = math.gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
 
 
-def _pivot(tableau: list[list[int]], zrow: list[int], basis: list[int], i: int, j: int) -> None:
-    """Make column j basic in row i by fraction-free elimination.
+def _eliminate(row: dict[int, int], p: int, prow: dict[int, int], f: int) -> dict[int, int]:
+    """p * row - f * prow, storing no zero entry, with the gcd divided out."""
+    new = {k: p * v for k, v in row.items()}
+    for k, v in prow.items():
+        w = new.get(k, 0) - f * v
+        if w:
+            new[k] = w
+        else:
+            del new[k]
+    return _reduced(new)
 
-    A stored row is its tableau row times an implicit positive scale, so the
-    basic entry of a row is that scale.  With p = tableau[i][j] > 0 (row i is
-    negated first when p < 0), p * R - f * R_i clears column j of a row R
-    with entry f and keeps its scale positive; dividing out the gcd keeps the
-    integers small.  Signs, ratios and zero patterns are those of the
-    tableau, and they are all that the pivoting rules read.
+
+def _pivot(tableau: list[dict[int, int]], zrow: dict[int, int], basis: list[int],
+           i: int, j: int) -> dict[int, int]:
+    """Make column j basic in row i by fraction-free elimination, and return
+    the objective row zrow with column j eliminated the same way.
+
+    A row maps the column of each nonzero entry to that int, with a nonzero
+    rhs under key -1; it is its tableau row times an implicit positive
+    scale, so the basic entry of a row is that scale.  With p = tableau[i][j]
+    > 0 (row i is negated first when p < 0), p * R - f * R_i clears column j
+    of a row R with entry f and keeps its scale positive; dividing out the
+    gcd keeps the integers small.  Only stored entries are read or written.
+    Signs, ratios and zero patterns, all that the pivoting rules read, are
+    those of the tableau.
     """
     prow = tableau[i]
     p = prow[j]
     if p < 0:
-        prow = tableau[i] = [-v for v in prow]
+        prow = tableau[i] = {k: -v for k, v in prow.items()}
         p = -p
     for r, row in enumerate(tableau):
-        f = row[j]
+        f = row.get(j)
         if f and r != i:
-            tableau[r] = _reduced([p * a - f * b for a, b in zip(row, prow)])
-    f = zrow[j]
-    if f:
-        zrow[:] = _reduced([p * a - f * b for a, b in zip(zrow, prow)])
+            tableau[r] = _eliminate(row, p, prow, f)
     basis[i] = j
+    f = zrow.get(j)
+    return _eliminate(zrow, p, prow, f) if f else zrow
 
 
-def _run_simplex(tableau: list[list[int]], zrow: list[int], basis: list[int], ncols: int) -> str:
-    """Minimize with Bland's rule; zrow holds c_B B^-1 A - c and the
-    objective value (negated cost convention) in its last entry.  The
-    leaving row has the least (rhs / entry, basic column), with ratios
-    compared by cross-multiplication."""
+def _run_simplex(tableau: list[dict[int, int]], zrow: dict[int, int],
+                 basis: list[int]) -> dict[int, int]:
+    """Minimize with Bland's rule and return the optimal objective row; zrow
+    holds c_B B^-1 A - c and the objective value (negated cost convention)
+    under key -1.  The leaving row has the least (rhs / entry, basic
+    column), with ratios compared by cross-multiplication."""
     while True:
-        enter = next((j for j in range(ncols) if zrow[j] > 0), None)
+        enter = min((j for j, v in zrow.items() if v > 0 and j >= 0), default=None)
         if enter is None:
-            return "optimal"
+            return zrow
         leave = None
         for r, row in enumerate(tableau):
-            a = row[enter]
+            a = row.get(enter, 0)
             if a > 0:
+                b = row.get(-1, 0)
                 if leave is not None:
-                    lhs, rhs = row[-1] * best_a, best_rhs * a
+                    lhs, rhs = b * best_a, best_rhs * a
                     if lhs > rhs or (lhs == rhs and basis[r] > basis[leave]):
                         continue
-                leave, best_rhs, best_a = r, row[-1], a
+                leave, best_rhs, best_a = r, b, a
         if leave is None:
-            return "unbounded"
-        _pivot(tableau, zrow, basis, leave, enter)
+            raise RuntimeError("both simplex phases are bounded, yet a column is unbounded")
+        zrow = _pivot(tableau, zrow, basis, leave, enter)
 
 
 def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
@@ -197,42 +213,37 @@ def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
     Free variables are split into nonnegative parts; every ``>`` constraint
     shares one slack variable (bounded by one) that is maximized after
     feasibility, and the strict system holds exactly when its optimum is
-    positive.  Tableau rows are integer lists (see ``_pivot``); the phase-1
-    artificial columns are not stored, because they never enter the basis.
-    A basic value is read back as the row's right-hand side over its basic
-    entry.
+    positive.  Tableau rows are sparse integer rows (see ``_pivot``); the
+    phase-1 artificial columns are not stored, because they never enter the
+    basis.  A basic value is read back as the row's right-hand side over its
+    basic entry.
     """
     nvars = len(lfp.variables)
     has_strict = any(c.relation == "gt" for c in lfp.constraints)
     # column layout: P_0..P_{n-1}, N_0..N_{n-1}, [t, u], one surplus per inequality
-    ncols = 2 * nvars + (2 if has_strict else 0)
     t_col = 2 * nvars if has_strict else None
-    surplus_col = ncols
-    ncols += sum(1 for c in lfp.constraints if c.relation in ("ge", "gt"))
+    ncols = 2 * nvars + (2 if has_strict else 0)
 
     # each constraint row times its least common denominator, negated when
     # the rhs is negative; dens[i] is that (positive) factor
-    tableau: list[list[int]] = []
+    tableau: list[dict[int, int]] = []
     dens: list[int] = []
     for c in lfp.constraints:
         den = math.lcm(c.rhs.denominator, *(v.denominator for v in c.coeffs))
         scale = -den if c.rhs < 0 else den
-        row = [0] * (ncols + 1)
-        for k, coeff in enumerate(c.coeffs):
-            row[k] = coeff.numerator * (scale // coeff.denominator)
-            row[nvars + k] = -row[k]
-        if c.relation in ("ge", "gt"):
+        row = {k: v.numerator * (scale // v.denominator) for k, v in enumerate(c.coeffs) if v}
+        row.update({nvars + k: -v for k, v in row.items()})
+        if c.relation != "eq":
             if c.relation == "gt":
                 row[t_col] = -scale
-            row[surplus_col] = -scale
-            surplus_col += 1
-        row[-1] = c.rhs.numerator * (scale // c.rhs.denominator)
+            row[ncols] = -scale
+            ncols += 1
+        if c.rhs:
+            row[-1] = c.rhs.numerator * (scale // c.rhs.denominator)
         tableau.append(row)
         dens.append(den)
     if has_strict:
-        row = [0] * (ncols + 1)
-        row[t_col] = row[t_col + 1] = row[-1] = 1
-        tableau.append(row)
+        tableau.append({t_col: 1, t_col + 1: 1, -1: 1})
         dens.append(1)
 
     m = len(tableau)
@@ -240,50 +251,39 @@ def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
     # reduced costs are the column sums of the rows divided by their dens
     basis = [ncols + i for i in range(m)]
     common = math.lcm(*dens)
-    scaled = (row if d == common else [v * (common // d) for v in row]
-              for row, d in zip(tableau, dens))
-    zrow = _reduced([sum(col) for col in zip(*scaled)])
+    zrow: dict[int, int] = {}
+    for row, d in zip(tableau, dens):
+        for k, v in row.items():
+            zrow[k] = zrow.get(k, 0) + v * (common // d)
+    zrow = _reduced({k: v for k, v in zrow.items() if v})
     tableau = [_reduced(row) for row in tableau]
-    if _run_simplex(tableau, zrow, basis, ncols) != "optimal":
-        raise RuntimeError("phase-1 simplex cannot be unbounded")
-    if zrow[-1] != 0:
+    if _run_simplex(tableau, zrow, basis).get(-1):
         return FeasibilityResult("Infeasible")
 
     # drive leftover artificials out of the basis; drop redundant rows
     keep = []
     for i in range(m):
         if basis[i] >= ncols:
-            enter = next((j for j in range(ncols) if tableau[i][j] != 0), None)
+            enter = min((j for j in tableau[i] if j >= 0), default=None)
             if enter is None:
                 continue  # redundant row
-            _pivot(tableau, zrow, basis, i, enter)
+            _pivot(tableau, {}, basis, i, enter)  # no objective is read past phase 1
         keep.append(i)
     tableau = [tableau[i] for i in keep]
     basis = [basis[i] for i in keep]
 
     if has_strict:
         # phase 2: maximize t, i.e. minimize -t; the reduced costs are minus
-        # the row of t off its basic entry, or the unit vector of t when t
-        # is nonbasic
+        # t's row (its own entry cancels the cost), or e_t when t is nonbasic
         if t_col in basis:
-            zrow = [-v for v in tableau[basis.index(t_col)]]
-            # no pivot depends on this entry: while t is basic the objective
-            # row is minus t's row off its basic entry, so a column enters
-            # only where t's row is negative and that row never leaves; t
-            # stays basic, and its entry, left at minus the row's scale,
-            # would stay negative and change only the positive factor that
-            # _reduced divides out.  It is zeroed so that zrow holds
-            # c_B B^-1 A - c exactly, as _run_simplex says
-            zrow[t_col] = 0
+            zrow = {k: -v for k, v in tableau[basis.index(t_col)].items() if k != t_col}
         else:
-            zrow = [0] * (ncols + 1)
-            zrow[t_col] = 1
-        if _run_simplex(tableau, zrow, basis, ncols) != "optimal":
-            raise RuntimeError("bounded strict slack cannot be unbounded")
+            zrow = {t_col: 1}
+        _run_simplex(tableau, zrow, basis)
 
     values = [Fraction(0)] * ncols
     for row, b in zip(tableau, basis):
-        values[b] = Fraction(row[-1], row[b])
+        values[b] = Fraction(row.get(-1, 0), row[b])
     assignment = tuple(values[k] - values[nvars + k] for k in range(nvars))
     slack = values[t_col] if has_strict else None
     if has_strict and slack <= 0:

@@ -1,12 +1,13 @@
 """Differential and property tests of the exact LP core.
 
-``solve_feasibility`` stores its tableau as integer rows and pivots without
-fractions.  The oracle below is the dense ``Fraction`` two-phase simplex it
-replaced, kept unchanged apart from the ``oracle_`` names: the same columns,
-artificials included, the same Bland entering and leaving rules.  Positive
-row scaling keeps every sign and ratio those rules read, so both solvers
-must return equal results, slack and assignment included.  Fourier-Motzkin
-elimination gives an independent feasibility answer for small systems.
+``solve_feasibility`` stores its tableau as sparse integer rows and pivots
+without fractions.  The oracle below is the dense ``Fraction`` two-phase
+simplex it replaced, kept unchanged apart from the ``oracle_`` names: the
+same columns, artificials included, the same Bland entering and leaving
+rules.  Positive row scaling keeps every sign and ratio those rules read, so
+both solvers must return equal results, slack and assignment included.
+Fourier-Motzkin elimination gives an independent feasibility answer for
+small systems.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcverify import Constraint, LinearFeasibilityProblem, solve_feasibility
@@ -22,7 +23,7 @@ from dcverify import multipliers
 from dcverify.multipliers import FeasibilityResult
 from dcverify.pareto import NeighborhoodSpec
 from dcverify.problem import GridSpec
-from dcverify.scenarios import check_results, load_scenario_problem
+from dcverify.scenarios import check_results, load_scenario_problem, run_scenario
 
 
 # --- the dense Fraction solver, as the oracle ------------------------------
@@ -228,22 +229,101 @@ def test_generated_systems_reach_both_statuses():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+# the oracle takes over a second on a 55-row system
+GRID_EXAMPLES = 8
+ZERO = Fraction(0)
+scales = st.sampled_from([ZERO, Fraction(1), Fraction(1), Fraction(2), Fraction(1, 3)])
+
+
+@st.composite
+def grid_systems(draw):
+    """Systems shaped like the ones the multiplier engines pose: dual-cone
+    ``ge`` rows on the ystar part and on the zstar part, an optional
+    complementarity equality, the scale-fixing equality with rhs 1, one or
+    more strict rows on ystar, then 20-45 homogeneous ``ge`` rows drawn from
+    a few base rows times a scale, so that duplicate, parallel and zero rows
+    occur as they do among grid rows.  Such a system takes a long chain of
+    degenerate pivots.  Some systems plant a point: every row but the
+    complementarity one is turned to pair nonnegatively with it, so that
+    feasible systems are common too."""
+    y_dim, z_dim = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    n = y_dim + z_dim
+    planted = draw(st.one_of(st.none(), st.tuples(*[small] * n)))
+
+    def part(first, count):
+        def oriented(v):
+            g = (ZERO,) * first + v + (ZERO,) * (n - first - count)
+            if planted is not None and sum(a * b for a, b in zip(g, planted)) < 0:
+                return tuple(-a for a in g)
+            return g
+        return st.tuples(*[small] * count).map(oriented)
+
+    rows = [Constraint(g, "ge", ZERO) for g in draw(st.lists(part(0, y_dim), min_size=1, max_size=3))]
+    rows += [Constraint(g, "ge", ZERO)
+             for g in draw(st.lists(part(y_dim, z_dim), min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        rows.append(Constraint(draw(part(y_dim, z_dim)), "eq", ZERO))
+    rows.append(Constraint(draw(part(0, n)), "eq", Fraction(1)))
+    rows += [Constraint(g, "gt", ZERO) for g in draw(st.lists(part(0, y_dim), min_size=1, max_size=2))]
+    base = draw(st.lists(part(0, n), min_size=1, max_size=6))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), scales), min_size=20, max_size=45))
+    rows += [Constraint(tuple(s * v for v in base[i]), "ge", ZERO) for i, s in picks]
+    return LinearFeasibilityProblem(tuple(f"v{k}" for k in range(n)), tuple(rows))
+
+
+@settings(max_examples=GRID_EXAMPLES)
+@given(grid_systems())
+def test_grid_shaped_systems_match_fraction_oracle(lfp):
+    result = solve_feasibility(lfp)
+    assert result == oracle_solve_feasibility(lfp)
+    if result.feasible:
+        assert all(c.holds(result.assignment) for c in lfp.constraints)
+
+
+def test_grid_shaped_systems_reach_both_statuses_and_30_rows():
+    statuses, most_rows = set(), 0
+
+    @settings(max_examples=GRID_EXAMPLES)
+    @given(grid_systems())
+    def collect(lfp):
+        nonlocal most_rows
+        statuses.add(solve_feasibility(lfp).status)
+        most_rows = max(most_rows, len(lfp.constraints))
+
+    collect()
+    assert statuses == {"Feasible", "Infeasible"}
+    assert most_rows >= 30
+
+
 # --- the systems the multiplier engines build ------------------------------
+
+
+def oracle_checked(monkeypatch) -> list[tuple[int, str]]:
+    """Make every engine LP compare ``solve_feasibility`` with the oracle;
+    the returned list receives (row count, status) per LP."""
+    solved = []
+
+    def compare(lfp):
+        result = solve_feasibility(lfp)
+        assert result == oracle_solve_feasibility(lfp)
+        solved.append((len(lfp.constraints), result.status))
+        return result
+
+    monkeypatch.setattr(multipliers, "solve_feasibility", compare)
+    return solved
+
+
+def corrected_sufficient(name: str, points: int) -> None:
+    parsed = load_scenario_problem(name)
+    check_results("sufficient", parsed, NeighborhoodSpec(parsed.options.radius),
+                  GridSpec(parsed.problem.C, points), mode=multipliers.MODE_CORRECTED)
 
 
 @pytest.mark.parametrize("name", ["example-3-1", "example-4-1"])
 def test_engine_systems_match_fraction_oracle(name, monkeypatch):
     """Every LP that the alternative, sufficient and necessary checks solve
     on a shipped problem gets the oracle's result."""
-    solved = []
-
-    def compare(lfp):
-        result = solve_feasibility(lfp)
-        assert result == oracle_solve_feasibility(lfp)
-        solved.append(result.status)
-        return result
-
-    monkeypatch.setattr(multipliers, "solve_feasibility", compare)
+    solved = oracle_checked(monkeypatch)
     parsed = load_scenario_problem(name)
     U = NeighborhoodSpec(parsed.options.radius)
     grid = GridSpec(parsed.problem.C, 21)
@@ -252,4 +332,35 @@ def test_engine_systems_match_fraction_oracle(name, monkeypatch):
         for mode in (multipliers.MODE_CORRECTED, multipliers.MODE_LEGACY):
             for target in (multipliers.TARGET_WEAK, multipliers.TARGET_PROPER):
                 check_results(kind, parsed, U, grid, mode=mode, target=target)
-    assert "Feasible" in solved
+    assert "Feasible" in {status for _, status in solved}
+
+
+def test_long_degenerate_engine_systems_match_fraction_oracle(monkeypatch):
+    """The long systems of the benchmark's LP workload: example-4-1's
+    corrected sufficient check at grid 65, and the LPs of the example-3-1
+    scenario at its grid of 101."""
+    solved = oracle_checked(monkeypatch)
+    corrected_sufficient("example-4-1", 65)
+    assert solved == [(37, "Infeasible")]
+    solved.clear()
+    run_scenario("example-3-1")
+    assert solved == [(7, "Feasible"), (32, "Infeasible")]
+
+
+def test_row_updates_write_only_stored_entries(monkeypatch):
+    """Work count, no timer: on example-4-1 at grid 101 (55 rows, 62
+    columns, about 50 degenerate pivots that each update every row) a row
+    update writes fewer than 5 entries on average.  Dense rows would write
+    all 63."""
+    written = []
+    eliminate = multipliers._eliminate
+
+    def count(*args):
+        row = eliminate(*args)
+        written.append(len(row))
+        return row
+
+    monkeypatch.setattr(multipliers, "_eliminate", count)
+    corrected_sufficient("example-4-1", 101)
+    assert len(written) > 2000
+    assert sum(written) / len(written) < 5

@@ -89,6 +89,22 @@ class TestSolveFeasibility:
             LinearFeasibilityProblem(tuple(f"v{i}" for i in range(9)),
                                      (Constraint(tuple(F(1) for _ in range(9)), "ge", F(0)),))
 
+    def test_unknown_relation_is_refused_when_built(self):
+        """An unknown relation was once solved as an equality: "le" with
+        a >= 0 came back Feasible with a = 1."""
+        with pytest.raises(ValueError, match="unknown relation 'le'"):
+            LinearFeasibilityProblem(("a",), (Constraint((1,), "le", 1),
+                                              Constraint((1,), "ge", 0)))
+
+    @pytest.mark.parametrize("coeffs, rhs", [((0.5, F(1)), F(0)), ((F(1), 2), 1.0)])
+    def test_float_numbers_are_refused_when_built(self, coeffs, rhs):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            LinearFeasibilityProblem(("a", "b"), (Constraint(coeffs, "ge", rhs),))
+
+    def test_int_numbers_are_exact_rationals(self):
+        lfp = LinearFeasibilityProblem(("a",), (Constraint((2,), "eq", 1),))
+        assert solve_feasibility(lfp).assignment == (HALF,)
+
 
 class TestAlternativeSystem:
     def test_opposite_linear_maps_yield_multipliers(self):
