@@ -10,9 +10,7 @@ from .cones import (
     dual_cone,
     format_rational,
     nonnegative_orthant,
-    order_relation,
     parse_rational,
-    strict_polar_contains,
 )
 from .dissipativity import (
     DissipativityVerdict,
@@ -61,7 +59,6 @@ from .subdiff import (
     SubdiffVerdict,
     eps_subdiff_contains,
     scalar_eps_subdiff_interval,
-    scalarized_subdiff_contains,
     strong_subdiff_contains,
 )
 

@@ -14,9 +14,7 @@ equality on the frozen dataclass.
 Supported queries:
 
 * membership, interior membership (``cone_contains``),
-* the four order relations induced by a cone (``order_relation``),
 * the dual cone via extreme-ray enumeration (``dual_cone``),
-* strict-polar membership (``strict_polar_contains``),
 * the lineality space, i.e. the largest subspace inside the cone
   (``PolyhedralCone.lineality_basis``).
 
@@ -437,27 +435,6 @@ def cone_contains(cone: PolyhedralCone, v: RationalVector, strict: bool = False)
     return cone.contains(v, strict=strict)
 
 
-ORDER_KINDS = ("preceq", "prec", "npreceq", "nprec")
-
-
-def order_relation(cone: PolyhedralCone, yl: RationalVector, yr: RationalVector, kind: str) -> bool:
-    """Order relations induced by the cone, evaluated on the difference yr - yl.
-
-    ``preceq``: yr - yl is a member; ``prec``: yr - yl is interior;
-    ``npreceq`` / ``nprec`` are the exact negations.
-    """
-    if kind not in ORDER_KINDS:
-        raise ValueError(f"unknown order relation {kind!r}; expected one of {ORDER_KINDS}")
-    diff = yr - yl
-    if kind == "preceq":
-        return cone.contains(diff)
-    if kind == "prec":
-        return cone.contains(diff, strict=True)
-    if kind == "npreceq":
-        return not cone.contains(diff)
-    return not cone.contains(diff, strict=True)
-
-
 def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
     """The cone of functionals nonnegative on ``cone``.
 
@@ -469,23 +446,3 @@ def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
     if not cone.halfspaces:
         raise ConeError("dual of the full space is the zero cone, which has no nonzero generators")
     return PolyhedralCone.from_generators(cone.halfspaces)
-
-
-def strict_polar_contains(cone: PolyhedralCone, ystar: RationalVector) -> bool:
-    """Membership in the strict polar: functionals strictly positive on the
-    cone minus its lineality space.
-
-    Positivity on the generators outside the lineality space extends to the
-    whole pointed part only when the functional also vanishes on the
-    lineality space, so that condition is checked as well.  For a subspace
-    cone the defining quantifier ranges over the empty set and every
-    functional qualifies.
-    """
-    if ystar.dim != cone.dim:
-        raise DimensionMismatchError(f"vector dim {ystar.dim} vs cone dim {cone.dim}")
-    outside = [g for g in cone.generators if not cone.contains(-g)]
-    if not outside:
-        return True
-    if any(ystar.dot(b) != 0 for b in cone.lineality_basis):
-        return False
-    return all(ystar.dot(g) > 0 for g in outside)

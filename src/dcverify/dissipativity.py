@@ -25,8 +25,8 @@ pair the polynomials a^T (T(x) - T*) become integer polynomials in the
 numerators of x once per ball grid.  Exceptional points keep their
 override operators.  Since a pair satisfies the inequality at x exactly
 when each of its pairings is at most <a, eps>, an eps sample is tested by
-integer comparisons alone.  The scan order, and with it the first violator
-in lexicographic order for each (eps, radius), is unchanged.
+integer comparisons alone.  A scan walks the index's packed keys in
+lexicographic point order and decodes only the first violator.
 """
 
 from __future__ import annotations
@@ -146,10 +146,10 @@ class DissipativityVerdict:
         return self.status == "Falsified"
 
 
-def default_eps_samples(cone: PolyhedralCone, count: int = 5) -> list[RationalVector]:
-    """Interior samples w / 2^k for k = 0..count-1, w the generator sum."""
+def default_eps_samples(cone: PolyhedralCone) -> list[RationalVector]:
+    """Interior samples w / 2^k for k = 0..4, w the generator sum."""
     w = cone.interior_point()
-    return [w.scale(Fraction(1, 2 ** k)) for k in range(count)]
+    return [w.scale(Fraction(1, 2 ** k)) for k in range(5)]
 
 
 def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
@@ -225,10 +225,10 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
         return pairs
 
     def pairings(index) -> Callable[[int], list[tuple[int, tuple[int, ...]]] | None]:
-        """The row of the point at each position of one ball grid's list:
-        one (D, pairs) per (T, T*) pair, where pairs holds D * <a, (T -
-        T*)(x - xbar)> / d(x, xbar) for each normal a, as ints, with D > 0.
-        None at xbar, where every pair satisfies every eps."""
+        """The row of the point at each packed key of one ball grid's
+        index: one (D, pairs) per (T, T*) pair, where pairs holds D * <a,
+        (T - T*)(x - xbar)> / d(x, xbar) for each normal a, as ints, with
+        D > 0.  None at xbar, where every pair satisfies every eps."""
         axes, dens = index.axes, index.dens
         # x - xbar along axis d is (K_d - Kbar_d) * unit_d / den_d; over the
         # lcm of the dens it is an int vector, a positive multiple of the
@@ -237,7 +237,7 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
         common = lcm(*dens)
         weights = [unit * (common // den) for (_, unit, *_), den in zip(axes, dens)]
         center = index.extra_keys[xbar.coords]
-        kbar = [center // stride % radix for *_, stride, radix in axes]
+        kbar = index.digits(center)
         overrides: dict[int, tuple[LinearOperator, ...]] = {}
         for p, ops in field.exceptions:
             key = index.extra_keys.get(p.coords)
@@ -248,9 +248,8 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
         int_polys: list[tuple[int, list[IntPoly]]] = []
         width = field.in_dim
 
-        def row(k: int) -> list[tuple[int, tuple[int, ...]]] | None:
-            key = index.keys[k]
-            ks = [key // stride % radix for *_, stride, radix in axes]
+        def row(key: int) -> list[tuple[int, tuple[int, ...]]] | None:
+            ks = index.digits(key)
             step = [(kx - kb) * w for kx, kb, w in zip(ks, kbar, weights)]
             d = max(map(abs, step))
             if d == 0:
@@ -262,7 +261,7 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
                 return [(sx * sb * d, tuple(sb * t - sx * u for t, u in zip(tx, ub)))
                         for sx, tx in at_x for sb, ub in at_base]
             if not field.formulas:
-                raise ValueError(f"operator field has no operator at {index.points[k]}")
+                raise ValueError(f"operator field has no operator at {index.decode([key])[0]}")
             if not int_polys:
                 int_polys.extend(_int_polys(polys, dens) for polys in relative())
             xs = [b + kx * unit for (b, unit, *_), kx in zip(axes, ks)]
@@ -275,18 +274,18 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
 
         return row
 
-    tables: dict[Fraction, tuple[list[RationalVector], Callable, list]] = {}
+    tables: dict[Fraction, tuple] = {}  # radius: (index, row, rows so far)
 
     def violator(bounds: list[int], den: int, radius: Fraction) -> RationalVector | None:
         """The first point in lexicographic order with no pair satisfying
-        eps, given as <a, eps> = bounds[a] / den."""
+        eps, given as <a, eps> = bounds[a] / den; only it is decoded."""
         if radius not in tables:
             index = template.ball(xbar, radius).lattice(extra, 1)
-            tables[radius] = (index.points, pairings(index), [])
-        points, row, rows = tables[radius]
-        for k, x in enumerate(points):
+            tables[radius] = (index, pairings(index), [])
+        index, row, rows = tables[radius]
+        for k, key in enumerate(index.keys):
             if k == len(rows):
-                rows.append(row(k))
+                rows.append(row(key))
             pairs = rows[k]
             if pairs is None:
                 continue
@@ -297,7 +296,7 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
                 else:
                     break  # this pair satisfies eps at x
             else:
-                return x
+                return index.decode([key])[0]
         return None
 
     evidence: list[EpsEvidence] = []

@@ -17,18 +17,18 @@ grid-relative ("NotFalsified", never "Proved"), and a Falsified verdict
 always carries an exact witness that re-checks by direct evaluation.
 
 A `GridSpec` keeps, for as long as it lives, what its points determine:
-each point list, the list's integer lattice index, and the list's value
-tables (`PointTable`), which hold each map as integers over one positive
-scale at every point, evaluated once per point.  The engines read those
-tables; `VectorMap.evaluate`, `DCProblem.objective` and `feasible_contains`
-stay the single-point functions for the base point, for witnesses and for
+each point list as its integer lattice index, and the list's value tables
+(`PointTable`), which hold each map as integers over one positive scale at
+every point, evaluated once per point.  The engines read those tables and
+walk packed keys, and decode a point only for a witness.
+`VectorMap.evaluate`, `DCProblem.objective` and `feasible_contains` stay
+the single-point functions for the base point, for witnesses and for
 library callers.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from fractions import Fraction
@@ -140,9 +140,6 @@ class VectorMap:
                 return value
         return RationalVector(tuple(_eval_poly(monos, x.coords) for monos in self.coords))
 
-    def __call__(self, x: RationalVector) -> RationalVector:
-        return self.evaluate(x)
-
     def partial(self, coord: int, var: int) -> tuple[Monomial, ...]:
         """Exact partial derivative of the polynomial part of one coordinate."""
         out: list[Monomial] = []
@@ -197,16 +194,30 @@ class _LatticeIndex(NamedTuple):
     """Integer index of one point list of a grid on the lattice q times
     finer than its coarse lattice; see `GridSpec.lattice`."""
 
-    # the grid's own list, shared and never copied
-    points: list[RationalVector]
-    # packed coarse index per point; point a sits at fine key q*keys[a]
+    # packed coarse key per point, ascending, so in lexicographic point
+    # order; point a sits at fine key q*keys[a]
     keys: list[int]
-    # fine-lattice coordinate x_d = (base_d + K_d*unit_d) / den_d, where
-    # K_d = key // stride_d % radix_d; one (base, unit, stride, radix) per axis
+    # fine-lattice coordinate x_d = (base_d + K_d*unit_d) / den_d, with K
+    # the `digits` of the fine key; one (base, unit, stride, radix) per axis
     axes: list[tuple[int, int, int, int]]
     dens: list[int]
     # packed coarse key of each extra point in the box
     extra_keys: dict[tuple[Fraction, ...], int]
+
+    def digits(self, key: int) -> tuple[int, ...]:
+        """The fine index vector K of a packed fine key.  `decode` (2.4x)
+        and `_LatticeMap._poly_at` (1.5%) run faster inlining it than calling
+        it, so a change to the packing changes all three."""
+        return tuple(key // stride % radix for *_, stride, radix in self.axes)
+
+    def decode(self, keys: Sequence[int]) -> list[RationalVector]:
+        """The points at packed fine keys, one Fraction per distinct coordinate."""
+        columns = []
+        for (base, unit, stride, radix), den in zip(self.axes, self.dens):
+            ks = [key // stride % radix for key in keys]
+            values = {k: Fraction(base + k * unit, den) for k in set(ks)}
+            columns.append(map(values.__getitem__, ks))
+        return [RationalVector(c) for c in zip(*columns)]
 
 
 class _LatticeMap:
@@ -230,8 +241,7 @@ class _LatticeMap:
         return tuple(ys)
 
     def _poly_at(self, key: int) -> list[int]:
-        """scale * map(x) by the polynomial, at packed fine key: the one
-        place the map is evaluated directly."""
+        """scale * map(x) by the polynomial at a fine key; see `digits`."""
         return _int_eval(self._polys, [base + key // stride % radix * unit
                                        for base, unit, stride, radix in self._axes])
 
@@ -319,9 +329,7 @@ class PointTable:
 
     @cached_property
     def ks(self) -> list[tuple[int, ...]]:
-        axes = self.index.axes
-        return [tuple(key // stride % radix for _, _, stride, radix in axes)
-                for key in self.index.keys]
+        return list(map(self.index.digits, self.index.keys))
 
     def values(self, vmap: VectorMap) -> _MapTable:
         hit = self._maps.get(id(vmap))
@@ -382,13 +390,12 @@ class GridSpec:
     """Exact rational grid: affine subdivisions of a box, points per axis.
 
     Point k of an axis is Fraction(base + k*unit, den), where base/den is
-    the lower bound and unit/den the step.  Each distinct point list is
-    built once per instance and kept, keyed by the extra points that fall
-    inside the box, for as long as the instance lives; every caller gets
-    its own copy of the list.  The integer lattice index of a list
-    (`lattice`) is kept the same way, keyed by those extra points and q, and
-    so are the value tables of a list (`table`) and the ball grids built
-    from this one (`ball`).  Nothing is kept past the instance.
+    the lower bound and unit/den the step.  A point list, keyed by the
+    extra points that fall inside the box, is built only as its integer
+    lattice index (`lattice`), once per q, and kept for as long as the
+    instance lives; so are its decoded points (`points`), the value tables
+    of a list (`table`) and the ball grids built from this one (`ball`).
+    Nothing is kept past the instance.
     """
 
     box: BoxSet
@@ -425,25 +432,17 @@ class GridSpec:
         return frozenset(p.coords for p in extra
                          if p.dim == self.box.dim and self.box.contains(p))
 
-    def _list(self, inside: frozenset) -> list[RationalVector]:
-        pts = self._lists.get(inside)
-        if pts is None:
-            pts = self._lists[inside] = self._build(inside)
-        return pts
-
     def points(self, extra: Iterable[RationalVector] = ()) -> list[RationalVector]:
         """All grid points in lexicographic order, merged with any extra
-        points that fall inside the box (exceptional points, base points)."""
-        return list(self._list(self._inside(extra)))
-
-    def _build(self, inside: frozenset) -> list[RationalVector]:
-        # every axis ascends, so the product is already in lexicographic order
-        coords = list(itertools.product(*(self.axis_points(i) for i in range(self.box.dim))))
-        for c in sorted(inside):
-            k = bisect_left(coords, c)
-            if k == len(coords) or coords[k] != c:
-                coords.insert(k, c)
-        return [RationalVector(c) for c in coords]
+        points that fall inside the box (exceptional points, base points),
+        decoded from the list's lattice index for q = 1; every caller gets
+        its own copy."""
+        inside = self._inside(extra)
+        pts = self._lists.get(inside)
+        if pts is None:
+            index = self._index(inside, 1)
+            pts = self._lists[inside] = index.decode(index.keys)
+        return list(pts)
 
     def lattice(self, extra: Iterable[RationalVector], q: int) -> _LatticeIndex:
         """The integer index of `points(extra)` for lambdas over q.
@@ -514,8 +513,7 @@ class GridSpec:
             axes.append((lo.numerator * (den // lo.denominator),
                          fine.numerator * (den // fine.denominator), stride, radix))
             dens.append(den)
-        return _LatticeIndex(self._list(inside), sorted({*keys, *extra_keys.values()}), axes,
-                             dens, extra_keys)
+        return _LatticeIndex(sorted({*keys, *extra_keys.values()}), axes, dens, extra_keys)
 
 
 @dataclass(frozen=True)
@@ -620,8 +618,8 @@ class _Lattice(_LatticeMap):
     """Integer values of one map over one grid, shared by both convexity
     scans.
 
-    The points, packed keys and fine axes come from the grid's lattice
-    index (`GridSpec.lattice`), which every map on the grid with the same
+    The packed keys and fine axes come from the grid's lattice index
+    (`GridSpec.lattice`), which every map on the grid with the same
     in-box exceptional points and the same q shares.  The map is evaluated
     at most once per fine point reached, in a lazy memo.  Its values are
     paired with every cone halfspace normal (primitive integer vectors) and
@@ -629,7 +627,7 @@ class _Lattice(_LatticeMap):
     lattice, so each point carries one int per halfspace and every cone
     inequality becomes an integer comparison.  Exceptional points in the
     box are scanned points, so their overrides are keyed by fine key like
-    any other value.
+    any other value.  Only a witness pair is decoded into points.
 
     When the scanned points vary along at most one axis, the fine lattice
     is one line whose packed keys are 0, 1, ...; `line` tabulates it by
@@ -643,7 +641,7 @@ class _Lattice(_LatticeMap):
         self.q = lcm(*(lam.denominator for lam in self.lams))
         index = grid.lattice(vmap.exception_points(), self.q)
         super().__init__(vmap, index, self.q)
-        self.points, self.keys = index.points, index.keys
+        self.index, self.keys = index, index.keys
         self.normals = cone.normals
         lam_set = set(self.lams)
         # (lam, w, mirrored) in list order; mirrored when 1 - lam is not listed
@@ -666,7 +664,7 @@ class _Lattice(_LatticeMap):
         lambda, orientation) tests.  None otherwise."""
         radices = [radix for *_, radix in self._axes]
         size = prod(radices)
-        n = len(self.points)
+        n = len(self.keys)
         tests = n * (n - 1) // 2 * sum(1 + mirrored for *_, mirrored in self._plan)
         if sum(radix > 1 for radix in radices) > 1 or size > tests:
             return None
@@ -691,7 +689,7 @@ class _Lattice(_LatticeMap):
         orientation (j, i) right after (i, j) when 1 - lam is not itself
         listed.  Pairs i == j are skipped: their combination is the point
         itself, which can falsify neither check."""
-        n = len(self.points)
+        n = len(self.keys)
         for i in range(n):
             for j in range(i + 1, n):
                 for lam, w, mirrored in self._plan:
@@ -718,7 +716,8 @@ class _Lattice(_LatticeMap):
             b + a >= 2 * h for column in columns for b, h, a in zip(column, column[1:], column[2:]))
 
     def witness(self, a: int, b: int, lam: Fraction) -> ConvexityVerdict:
-        return ConvexityVerdict("Falsified", (self.points[a], self.points[b], lam))
+        x1, x2 = self.index.decode([self.q * self.keys[a], self.q * self.keys[b]])
+        return ConvexityVerdict("Falsified", (x1, x2, lam))
 
 
 def check_cone_convex(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,

@@ -23,7 +23,7 @@ from .cones import (
     as_fraction,
     cone_contains,
 )
-from .problem import BoxSet, DCProblem, GridSpec, VectorMap
+from .problem import GridSpec, VectorMap
 
 
 @dataclass(frozen=True)
@@ -167,37 +167,3 @@ def scalar_eps_subdiff_interval(phi: VectorMap, xbar: Fraction | int | str,
         else:
             lo = quotient if lo is None else max(lo, quotient)
     return RationalInterval(lo, hi)
-
-
-def scalarized_subdiff_contains(problem: DCProblem, ystar: RationalVector,
-                                zstar: RationalVector, g: LinearOperator,
-                                eps_scalar: Fraction | int | str, U: BoxSet,
-                                grid: GridSpec) -> SubdiffVerdict:
-    """Test one functional g against the scalarized eps-subdifferential of
-    ystar o F + zstar o H restricted to U intersect C at xbar.
-
-    The indicator of U intersect C is realized by restricting the grid, so
-    the condition checked is, for every grid x in U intersect C,
-
-        (ystar o F + zstar o H)(x) - (same at xbar) + eps_scalar >= g(x - xbar).
-    """
-    if ystar.dim != problem.y_dim or zstar.dim != problem.z_dim:
-        raise DimensionMismatchError("functional dimensions do not match the problem")
-    if g.out_dim != 1 or g.in_dim != problem.x_dim:
-        raise DimensionMismatchError("candidate functional must map X to scalars")
-    e = as_fraction(eps_scalar)
-    xbar = problem.xbar
-
-    def scalarized(x: RationalVector) -> Fraction:
-        return ystar.dot(problem.F.evaluate(x)) + zstar.dot(problem.H.evaluate(x))
-
-    base = scalarized(xbar)
-    domain = U.intersect(problem.C)
-    for x in grid.points(extra=problem.exception_points() + [xbar]):
-        if not domain.contains(x):
-            continue
-        lhs = scalarized(x) - base + e
-        rhs = g.apply(x - xbar)[0]
-        if lhs < rhs:
-            return SubdiffVerdict("Falsified", x)
-    return SubdiffVerdict("CertifiedOnGrid", None)

@@ -1,4 +1,4 @@
-"""Cone algebra: membership, orders, duality, strict polar, lineality."""
+"""Cone algebra: membership, duality, lineality."""
 
 import random
 from fractions import Fraction
@@ -15,10 +15,8 @@ from dcverify import (
     cones,
     dual_cone,
     nonnegative_orthant,
-    order_relation,
     parse_problem,
     parse_rational,
-    strict_polar_contains,
 )
 from conftest import random_cone
 
@@ -73,36 +71,6 @@ class TestMembership:
             PolyhedralCone.from_generators([V(0, 0)])
 
 
-class TestOrderRelations:
-    def test_componentwise_preceq(self):
-        K = nonnegative_orthant(2)
-        assert order_relation(K, V(1, 2), V(2, 3), "preceq")
-
-    def test_zero_not_interior(self):
-        K = nonnegative_orthant(2)
-        assert not order_relation(K, V(0, 0), V(0, 0), "prec")
-
-    def test_npreceq_with_negative_coordinate(self):
-        K = nonnegative_orthant(2)
-        yl = V("1/16", "1/4")
-        yr = V("-1/8", 0)
-        assert (yr - yl) == V("-3/16", "-1/4")
-        assert order_relation(K, yl, yr, "npreceq")
-
-    def test_negations_are_exact(self):
-        K = nonnegative_orthant(2)
-        rng = random.Random(7)
-        for _ in range(50):
-            yl = V(Fraction(rng.randint(-4, 4), 2), Fraction(rng.randint(-4, 4), 2))
-            yr = V(Fraction(rng.randint(-4, 4), 2), Fraction(rng.randint(-4, 4), 2))
-            assert order_relation(K, yl, yr, "npreceq") != order_relation(K, yl, yr, "preceq")
-            assert order_relation(K, yl, yr, "nprec") != order_relation(K, yl, yr, "prec")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            order_relation(nonnegative_orthant(2), V(0, 0), V(1, 1), "lt")
-
-
 class TestDualCone:
     def test_quadrant_self_dual(self):
         K = nonnegative_orthant(2)
@@ -139,39 +107,6 @@ class TestDualCone:
             by_halfspace = cone_contains(cone, v)
             by_dual = all(g.dot(v) >= 0 for g in dual.generators)
             assert by_halfspace == by_dual
-
-
-class TestStrictPolar:
-    def test_quadrant_interior_functional(self):
-        assert strict_polar_contains(nonnegative_orthant(2), V(1, 1))
-
-    def test_quadrant_boundary_functional(self):
-        # (1,0) pairs to zero with the generator (0,1)
-        assert not strict_polar_contains(nonnegative_orthant(2), V(1, 0))
-
-    def test_halfplane_vertical_functional(self):
-        halfplane = PolyhedralCone.from_generators([V(1, 0), V(-1, 0), V(0, 1)])
-        assert strict_polar_contains(halfplane, V(0, 1))
-
-    def test_halfplane_slanted_functional_rejected(self):
-        # (1,1) is positive on the generator (0,1) but takes negative values
-        # on the part of the cone with very negative first coordinate
-        halfplane = PolyhedralCone.from_generators([V(1, 0), V(-1, 0), V(0, 1)])
-        assert V(1, 1).dot(V(0, 1)) > 0
-        assert V(1, 1).dot(V(-5, 1)) < 0 and cone_contains(halfplane, V(-5, 1))
-        assert not strict_polar_contains(halfplane, V(1, 1))
-
-    def test_strict_polar_inside_dual_minus_zero(self):
-        rng = random.Random(13)
-        for _ in range(40):
-            cone = random_cone(rng, 2)
-            ystar = V(Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4)))
-            if ystar.is_zero():
-                continue
-            subspace = all(cone_contains(cone, -g) for g in cone.generators)
-            if strict_polar_contains(cone, ystar) and not subspace:
-                assert cone_contains(dual_cone(cone), ystar)
-                assert not ystar.is_zero()
 
 
 class TestLinearity:

@@ -44,9 +44,8 @@ from dcverify import (
     RationalVector,
     cone_contains,
     cones,
-    order_relation,
 )
-from dcverify.cones import MAX_CONE_DIM, ORDER_KINDS, IntRow, _int_primitive
+from dcverify.cones import MAX_CONE_DIM, IntRow, _int_primitive
 from conftest import random_cone
 
 Row = tuple[Fraction, ...]
@@ -466,18 +465,6 @@ def test_membership_matches_fraction_dot_products(case):
             expected = fraction_member(cone, v, strict)
             assert cone.contains(v, strict=strict) == expected
             assert cone_contains(cone, v, strict=strict) == expected
-    yl = vectors[0]
-    for yr in vectors[1:]:
-        diff = yr - yl
-        for kind in ORDER_KINDS:
-            strict = kind in ("prec", "nprec")
-            if strict and not cone.full_dimensional:
-                with pytest.raises(InteriorEmptyError):
-                    order_relation(cone, yl, yr, kind)
-                continue
-            negated = kind.startswith("n")
-            assert order_relation(cone, yl, yr, kind) == (fraction_member(cone, diff, strict)
-                                                          != negated)
 
 
 def test_membership_cases_reach_every_outcome():
@@ -508,8 +495,6 @@ def test_membership_checks_dimensions():
         cone.contains(bad)
     with pytest.raises(DimensionMismatchError):
         cone_contains(cone, bad, strict=True)
-    with pytest.raises(DimensionMismatchError):
-        order_relation(cone, bad, bad, "preceq")
     ray = PolyhedralCone.from_generators([RationalVector.of(1, 0)])
     with pytest.raises(DimensionMismatchError):
         ray.contains(bad, strict=True)

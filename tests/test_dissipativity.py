@@ -27,6 +27,7 @@ from dcverify import (
     cone_contains,
     gradient_field,
     nonnegative_orthant,
+    scenarios,
 )
 from dcverify.cones import as_fraction
 from dcverify.dissipativity import (
@@ -36,6 +37,7 @@ from dcverify.dissipativity import (
     RadiusTrial,
     default_eps_samples,
 )
+from dcverify.problem import _LatticeIndex
 from dcverify.scenarios import run_scenario
 
 V = RationalVector.of
@@ -158,38 +160,78 @@ class TestValidationAndInvariants:
 
 
 @pytest.fixture()
-def grid_builds(monkeypatch):
-    """Every point list a GridSpec builds, as (grid, in-box extras); the
-    list keeps each grid alive, so identities stay distinct."""
+def index_builds(monkeypatch):
+    """Every lattice index a GridSpec builds, as (grid, in-box extras, q);
+    the list keeps each grid alive, so identities stay distinct."""
     builds = []
-    build = GridSpec._build
+    build = GridSpec._build_index
 
-    def spy(grid, inside):
-        builds.append((grid, inside))
-        return build(grid, inside)
+    def spy(grid, inside, q):
+        builds.append((grid, inside, q))
+        return build(grid, inside, q)
 
-    monkeypatch.setattr(GridSpec, "_build", spy)
+    monkeypatch.setattr(GridSpec, "_build_index", spy)
     return builds
 
 
+@pytest.fixture()
+def decoded(monkeypatch):
+    """Every call of the key decoder, as (index, keys, points)."""
+    calls = []
+    decode = _LatticeIndex.decode
+
+    def spy(index, keys):
+        keys = list(keys)
+        points = decode(index, keys)
+        calls.append((index, keys, points))
+        return points
+
+    monkeypatch.setattr(_LatticeIndex, "decode", spy)
+    return calls
+
+
 class TestWorkCounts:
-    def test_one_ball_grid_per_distinct_radius(self, quartic_quadratic, grid_builds):
+    def test_one_ball_grid_per_distinct_radius(self, quartic_quadratic, index_builds, decoded):
         p = quartic_quadratic.problem
         verdict = check_approx_pseudo_dissipative(gradient_field(p.G), p.xbar, p.K,
                                                   grid_template=GridSpec(p.C, 101))
         trials = [t.radius for ev in verdict.evidence for t in ev.trials]
         assert len(trials) == 14
-        assert sorted(grid.box.upper[0] for grid, _ in grid_builds) == sorted(set(trials))
-        assert len(grid_builds) == 4
+        assert sorted(grid.box.upper[0] for grid, *_ in index_builds) == sorted(set(trials))
+        assert len(index_builds) == 4
+        # only the violators are decoded, one point per failed trial
+        violators = [t.witness for ev in verdict.evidence for t in ev.trials if t.witness]
+        assert [points for _, _, points in decoded] == [[x] for x in violators]
 
-    def test_scenario_builds_each_point_list_once(self, grid_builds):
-        run_scenario("example-3-1")
-        per_grid = Counter((id(grid), inside) for grid, inside in grid_builds)
-        assert max(per_grid.values()) == 1
-        # the problem grid's two lists (no extras; xbar), then the ball grids
-        # of grad-G (4 radii); grad-S certifies at the first radius, whose
-        # ball grid it shares with grad-G
-        assert len(grid_builds) == 6
+    def test_scenario_builds_each_point_list_once(self, index_builds, decoded, monkeypatch):
+        witnesses = []
+        engine = scenarios.check_approx_pseudo_dissipative
+
+        def spy(*args, **kwargs):
+            verdict = engine(*args, **kwargs)
+            witnesses.extend(t.witness for ev in verdict.evidence for t in ev.trials if t.witness)
+            return verdict
+
+        monkeypatch.setattr(scenarios, "check_approx_pseudo_dissipative", spy)
+        report = run_scenario("example-3-1")
+        per_index = Counter((id(grid), inside, q) for grid, inside, q in index_builds)
+        assert max(per_index.values()) == 1
+        # the problem grid's two indexes (xbar at q = 1, no extras at q = 4
+        # for the convexity scans), then the ball grids of grad-G (4 radii);
+        # grad-S certifies at the first radius, whose ball grid it shares
+        # with grad-G through the grid template
+        box = scenarios.load_scenario_problem("example-3-1").problem.C
+        assert sorted(q for grid, _, q in index_builds if grid.box == box) == [1, 4]
+        assert sum(grid.box != box for grid, *_ in index_builds) == 4
+        assert len(index_builds) == 6
+        # one whole list is decoded, the certification list of the feasible
+        # set; every other decoded point is a dissipativity violator, and no
+        # ball grid's list is decoded
+        whole = [points for index, keys, points in decoded if keys == index.keys]
+        assert len(whole) == 1
+        assert len(whole[0]) == int(report.results[0].data["total"])
+        others = [x for index, keys, points in decoded if keys != index.keys for x in points]
+        assert others and others == witnesses
 
 
 # --- the replaced engine, as the oracle ------------------------------------

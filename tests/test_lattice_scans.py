@@ -386,7 +386,8 @@ def test_index_matches_per_map_oracle(case):
     for q in (q, q + 1):
         index = grid.lattice(extra, q)
         points, keys, radices, axes, dens = oracle_index(grid, extra, q)
-        assert index.points == points
+        # point a sits at fine key q*keys[a]
+        assert index.decode([q * key for key in index.keys]) == points
         assert index.keys == keys
         assert [radix for *_, radix in index.axes] == radices
         assert index.axes == axes

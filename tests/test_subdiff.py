@@ -16,7 +16,6 @@ from dcverify import (
     eps_subdiff_contains,
     nonnegative_orthant,
     scalar_eps_subdiff_interval,
-    scalarized_subdiff_contains,
     strong_subdiff_contains,
 )
 from conftest import scalar_map
@@ -174,34 +173,3 @@ class TestScalarInterval:
         interval = scalar_eps_subdiff_interval(neg_abs, 0, 0, grid)
         assert interval.lo == 1 and interval.hi == -1
         assert interval.is_empty
-
-
-class TestScalarizedSubdiff:
-    def test_constraint_functional_certifies(self, exceptional_point):
-        # ystar = 0, zstar = 1, g = 1: the scalarized inequality collapses to
-        # zstar*(x - 1) - zstar*(-1) >= x, i.e. 0 >= 0
-        p = exceptional_point.problem
-        U = BoxSet(V("-1/2"), V("1/2"))
-        verdict = scalarized_subdiff_contains(
-            p, V(0), V(1), LinearOperator.from_rows([[1]]), 0, U, grid1(-1, 1, 41))
-        assert verdict.certified
-
-    def test_objective_functional_falsified_off_base_point(self, exceptional_point):
-        p = exceptional_point.problem
-        U = BoxSet(V("-1/2"), V("1/2"))
-        verdict = scalarized_subdiff_contains(
-            p, V(1), V(0), LinearOperator.from_rows([[0]]), 0, U, grid1(-1, 1, 41))
-        assert not verdict.certified
-        x = verdict.witness
-        assert x[0] != 0 and p.F.evaluate(x)[0] == -1
-
-    def test_zero_everything_certifies(self, exceptional_point):
-        p = exceptional_point.problem
-        zero_p = type(p)(p.x_dim, p.y_dim, p.z_dim,
-                         VectorMap.zero(1, 1), VectorMap.zero(1, 1),
-                         VectorMap.zero(1, 1), VectorMap.zero(1, 1),
-                         p.C, p.K, p.D, V(0), V(0))
-        verdict = scalarized_subdiff_contains(
-            zero_p, V(0), V(0), LinearOperator.from_rows([[0]]), 0, p.C,
-            grid1(-1, 1, 11))
-        assert verdict.certified
