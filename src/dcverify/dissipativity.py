@@ -55,6 +55,7 @@ from .problem import (
     _int_eval,
     _int_polys,
 )
+from .report import Status
 from .subdiff import LinearOperator
 
 DEFAULT_RADII = (Fraction(1, 2), Fraction(1, 8), Fraction(1, 32),
@@ -136,14 +137,14 @@ class EpsEvidence:
 
 @dataclass(frozen=True)
 class DissipativityVerdict:
-    status: str  # "NotFalsified" | "Falsified"
+    status: Status  # NOT_FALSIFIED or FALSIFIED
     evidence: tuple[EpsEvidence, ...]
     eps: RationalVector | None = None       # failing eps sample
     witness: RationalVector | None = None   # violator at the smallest radius
 
     @property
     def falsified(self) -> bool:
-        return self.status == "Falsified"
+        return self.status == Status.FALSIFIED
 
 
 def default_eps_samples(cone: PolyhedralCone) -> list[RationalVector]:
@@ -315,6 +316,6 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
         evidence.append(EpsEvidence(eps, certified, tuple(trials)))
         if certified is None:
             return DissipativityVerdict(
-                "Falsified", tuple(evidence), eps=eps, witness=trials[-1].witness,
+                Status.FALSIFIED, tuple(evidence), eps=eps, witness=trials[-1].witness,
             )
-    return DissipativityVerdict("NotFalsified", tuple(evidence))
+    return DissipativityVerdict(Status.NOT_FALSIFIED, tuple(evidence))

@@ -27,10 +27,10 @@ On top of the core sit the theorem engines:
   modes, and the proper target restricts the objective multiplier to the
   strict polar or zero.
 
-The subgradient rows are formed as ints from the grid's value tables of F
-and H (``problem.PointTable``); pruning and deduplication (``_grid_rows``)
-read the ints, and only the rows that survive become ``Fraction``
-constraints, with the values, labels and order the LP always had.
+Value rows (the alternative) and subgradient rows are ints from the grid's
+value tables (``problem.PointTable``); pruning and deduplication
+(``_grid_rows``) read the ints, and only the rows that survive become
+``Fraction`` constraints, with the values, labels and order the LP had.
 
 One function, ``_solve_multipliers``, poses, solves and certifies every
 multiplier system: a prefix built once per engine call (the dual-cone rows,
@@ -52,6 +52,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cones import (
+    DimensionMismatchError,
     PolyhedralCone,
     RationalVector,
     _dot,
@@ -62,6 +63,7 @@ from .cones import (
 )
 from .pareto import NeighborhoodSpec, check_eps_weak_local_min
 from .problem import DCProblem, GridSpec, VectorMap, check_convexlike
+from .report import Status
 from .subdiff import LinearOperator
 
 MAX_VARIABLES = 8
@@ -127,13 +129,13 @@ class LinearFeasibilityProblem:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    status: str  # "Feasible" | "Infeasible"
+    status: Status  # FEASIBLE or INFEASIBLE
     assignment: tuple[Fraction, ...] | None = None
     strict_slack: Fraction | None = None
 
     @property
     def feasible(self) -> bool:
-        return self.status == "Feasible"
+        return self.status == Status.FEASIBLE
 
 
 def _reduced(row: dict[int, int]) -> dict[int, int]:
@@ -258,7 +260,7 @@ def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
     zrow = _reduced({k: v for k, v in zrow.items() if v})
     tableau = [_reduced(row) for row in tableau]
     if _run_simplex(tableau, zrow, basis).get(-1):
-        return FeasibilityResult("Infeasible")
+        return FeasibilityResult(Status.INFEASIBLE)
 
     # drive leftover artificials out of the basis; drop redundant rows
     keep = []
@@ -287,8 +289,8 @@ def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
     assignment = tuple(values[k] - values[nvars + k] for k in range(nvars))
     slack = values[t_col] if has_strict else None
     if has_strict and slack <= 0:
-        return FeasibilityResult("Infeasible", strict_slack=slack)
-    return FeasibilityResult("Feasible", assignment, slack)
+        return FeasibilityResult(Status.INFEASIBLE, strict_slack=slack)
+    return FeasibilityResult(Status.FEASIBLE, assignment, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +466,6 @@ def _grid_rows(entries: Iterable[tuple[RationalVector, int, Sequence[int], int, 
     return out
 
 
-def _scaled(v: RationalVector) -> tuple[int, list[int]]:
-    """(s, ints): v as ints over the positive scale s."""
-    s = math.lcm(*(c.denominator for c in v))
-    return s, [c.numerator * (s // c.denominator) for c in v]
-
-
 # ---------------------------------------------------------------------------
 # the convexlike alternative
 # ---------------------------------------------------------------------------
@@ -477,7 +473,7 @@ def _scaled(v: RationalVector) -> tuple[int, list[int]]:
 
 @dataclass(frozen=True)
 class AlternativeOutcome:
-    kind: str  # "SolutionExists" | "Multipliers" | "GridGap"
+    kind: Status  # SOLUTION_EXISTS, MULTIPLIERS or GRID_GAP
     x: RationalVector | None = None
     certificate: MultiplierCertificate | None = None
     warnings: tuple[str, ...] = ()
@@ -501,14 +497,19 @@ def alternative_system(Fmap: VectorMap, Gmap: VectorMap, K: PolyhedralCone,
             warnings.append(
                 f"map {name} is not convexlike on the grid "
                 f"(witness {x1}, {x2}, lambda={format_rational(lam)})")
+    table = C_grid.table(Fmap.exception_points() + Gmap.exception_points())
+    Ft, Gt = table.values(Fmap), table.values(Gmap)
+    if Fmap.out_dim != K.dim or Gmap.out_dim != D.dim:
+        raise DimensionMismatchError("map and cone dimensions differ")
+    K_normals = K.interior_normals()
     entries = []
-    for x in C_grid.points(extra=Fmap.exception_points() + Gmap.exception_points()):
-        fx, gx = Fmap.evaluate(x), Gmap.evaluate(x)
-        if cone_contains(K, -fx, strict=True) and cone_contains(D, -gx, strict=True):
-            return AlternativeOutcome("SolutionExists", x=x, warnings=tuple(warnings))
-        entries.append((x, *_scaled(fx), *_scaled(gx)))
+    for x, fy, gy in zip(table.points, Ft.rows, Gt.rows):
+        if all(_dot(a, fy) < 0 for a in K_normals) and \
+                all(_dot(b, gy) < 0 for b in D.interior_normals()):
+            return AlternativeOutcome(Status.SOLUTION_EXISTS, x=x, warnings=tuple(warnings))
+        entries.append((x, Ft.scale, fy, Gt.scale, gy))
     certificate = _solve_multipliers(_prefix(K, D), _grid_rows(entries, K, D, "value-row"), K.dim)
-    return AlternativeOutcome("GridGap" if certificate is None else "Multipliers",
+    return AlternativeOutcome(Status.GRID_GAP if certificate is None else Status.MULTIPLIERS,
                               certificate=certificate, warnings=tuple(warnings))
 
 
@@ -519,7 +520,7 @@ def alternative_system(Fmap: VectorMap, Gmap: VectorMap, K: PolyhedralCone,
 
 @dataclass(frozen=True)
 class SufficientOutcome:
-    kind: str  # "AllCandidatesCertified" | "FailedFor"
+    kind: Status  # ALL_CANDIDATES_CERTIFIED or FAILED_FOR
     certificates: tuple[MultiplierCertificate, ...] = ()
     failed_T: LinearOperator | None = None
     failed_L: LinearOperator | None = None
@@ -527,7 +528,7 @@ class SufficientOutcome:
 
     @property
     def certified(self) -> bool:
-        return self.kind == "AllCandidatesCertified"
+        return self.kind == Status.ALL_CANDIDATES_CERTIFIED
 
 
 def _check_inputs(candidates_T: Sequence[LinearOperator],
@@ -617,11 +618,11 @@ def sufficient_condition(problem: DCProblem,
                 certificate = _solve_multipliers(
                     prefix, _subgradient_rows(problem, values, moved_T, moved_L), problem.y_dim)
                 if certificate is None:
-                    return SufficientOutcome("FailedFor", tuple(certificates),
+                    return SufficientOutcome(Status.FAILED_FOR, tuple(certificates),
                                              failed_T=T, failed_L=L,
                                              failed_correction=corr)
                 certificates.append(certificate)
-    return SufficientOutcome("AllCandidatesCertified", tuple(certificates))
+    return SufficientOutcome(Status.ALL_CANDIDATES_CERTIFIED, tuple(certificates))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +632,7 @@ def sufficient_condition(problem: DCProblem,
 
 @dataclass(frozen=True)
 class NecessaryOutcome:
-    kind: str  # "Multipliers" | "InfeasibleOnGrid"
+    kind: Status  # MULTIPLIERS or INFEASIBLE_ON_GRID
     certificate: MultiplierCertificate | None = None
     chosen_T: LinearOperator | None = None
     chosen_L: LinearOperator | None = None
@@ -673,7 +674,7 @@ def necessary_condition(problem: DCProblem,
             for extra in branches:
                 certificate = _solve_multipliers(prefix, extra + grid_rows, y_dim)
                 if certificate is not None:
-                    return NecessaryOutcome("Multipliers", certificate=certificate,
+                    return NecessaryOutcome(Status.MULTIPLIERS, certificate=certificate,
                                             chosen_T=T, chosen_L=L, warnings=tuple(warnings))
 
     trace: list[str] = []
@@ -694,4 +695,4 @@ def necessary_condition(problem: DCProblem,
                     "ystar in K*\\{0} is impossible")
     if not trace:
         trace.append("multiplier system infeasible on the grid for every candidate pair")
-    return NecessaryOutcome("InfeasibleOnGrid", trace=tuple(trace), warnings=tuple(warnings))
+    return NecessaryOutcome(Status.INFEASIBLE_ON_GRID, trace=tuple(trace), warnings=tuple(warnings))

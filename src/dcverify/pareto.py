@@ -32,6 +32,7 @@ from typing import Iterable, Iterator
 
 from .cones import PolyhedralCone, RationalVector, _dot, as_fraction, nonnegative_orthant
 from .problem import DCProblem, GridSpec, feasible_contains
+from .report import Status
 
 DEFAULT_SHEARS = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 DEFAULT_RADIUS = Fraction(1, 2)
@@ -77,25 +78,25 @@ class DilationFamily:
 
 @dataclass(frozen=True)
 class WeakMinVerdict:
-    status: str  # "CertifiedOnGrid" | "Falsified"
+    status: Status  # CERTIFIED_ON_GRID or FALSIFIED
     witness: RationalVector | None = None
     witness_value: RationalVector | None = None  # the offending difference vector
     checked: int = 0
 
     @property
     def certified(self) -> bool:
-        return self.status == "CertifiedOnGrid"
+        return self.status == Status.CERTIFIED_ON_GRID
 
 
 @dataclass(frozen=True)
 class ProperMinVerdict:
-    status: str  # "CertifiedOnGrid" | "NotCertified"
+    status: Status  # CERTIFIED_ON_GRID or NOT_CERTIFIED
     shear: Fraction | None = None
     checked: int = 0
 
     @property
     def certified(self) -> bool:
-        return self.status == "CertifiedOnGrid"
+        return self.status == Status.CERTIFIED_ON_GRID
 
 
 def feasible_positions(problem: DCProblem, grid: GridSpec, positions: Iterable[int]) -> list[int]:
@@ -143,10 +144,10 @@ def check_eps_weak_local_min(problem: DCProblem, U: NeighborhoodSpec,
     for i, diff in rows:
         checked += 1
         if all(_dot(a, diff) < 0 for a in problem.K.interior_normals()):
-            witness = problem.certification_points(grid)[i]
+            witness = problem.certification_table(grid).points[i]
             value = RationalVector(tuple(Fraction(v, scale) for v in diff))
-            return WeakMinVerdict("Falsified", witness, value, checked)
-    return WeakMinVerdict("CertifiedOnGrid", checked=checked)
+            return WeakMinVerdict(Status.FALSIFIED, witness, value, checked)
+    return WeakMinVerdict(Status.CERTIFIED_ON_GRID, checked=checked)
 
 
 def check_eps_proper_local_min(problem: DCProblem, U: NeighborhoodSpec,
@@ -166,5 +167,5 @@ def check_eps_proper_local_min(problem: DCProblem, U: NeighborhoodSpec,
         # -d is interior to the dilated cone unless some pairing of d is >= 0
         normals = family.cone(m).normals
         if all(any(_dot(a, d) >= 0 for a in normals) for d in diffs):
-            return ProperMinVerdict("CertifiedOnGrid", shear=m, checked=len(diffs))
-    return ProperMinVerdict("NotCertified", checked=len(diffs))
+            return ProperMinVerdict(Status.CERTIFIED_ON_GRID, shear=m, checked=len(diffs))
+    return ProperMinVerdict(Status.NOT_CERTIFIED, checked=len(diffs))

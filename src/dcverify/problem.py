@@ -17,13 +17,12 @@ grid-relative ("NotFalsified", never "Proved"), and a Falsified verdict
 always carries an exact witness that re-checks by direct evaluation.
 
 A `GridSpec` keeps, for as long as it lives, what its points determine:
-each point list as its integer lattice index, and the list's value tables
-(`PointTable`), which hold each map as integers over one positive scale at
-every point, evaluated once per point.  The engines read those tables and
-walk packed keys, and decode a point only for a witness.
-`VectorMap.evaluate`, `DCProblem.objective` and `feasible_contains` stay
-the single-point functions for the base point, for witnesses and for
-library callers.
+each point list as its integer lattice index, and the list's `PointTable`,
+which decodes the points once and holds each map as integers over one
+positive scale at every point, evaluated once per point.  Every engine
+reads those tables.  `VectorMap.evaluate` serves only single points (the
+base point, witnesses, library callers) and `feasible_contains`, which
+`pareto.feasible_positions` asks once per certification point.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .cones import (
     as_fraction,
     cone_contains,
 )
+from .report import Status
 
 # one monomial: (exponent tuple, coefficient)
 Monomial = tuple[tuple[int, ...], Fraction]
@@ -305,10 +305,11 @@ class _MapTable(_LatticeMap):
 
 
 class PointTable:
-    """Integer value tables of one point list of a grid.
+    """One point list of a grid and its integer value tables.
 
     The tables sit on the list's lattice index for q = 1, so the point at
-    position i is x_d = (base_d + K_d*unit_d) / den_d with K = `ks[i]`.
+    position i is x_d = (base_d + K_d*unit_d) / den_d with K = `ks[i]`;
+    `points` decodes the whole list the first time it is asked for.
     `values(vmap)` holds scale * vmap(x) as ints at every point, one
     positive scale per map, computed the first time a map is asked for:
     each map is evaluated at most once per point, and exceptional values
@@ -326,6 +327,10 @@ class PointTable:
         self._maps: dict[int, tuple[VectorMap, _MapTable]] = {}
         self._balls: dict[tuple, list[int]] = {}
         self.flags: dict[int, tuple[DCProblem, dict[int, bool]]] = {}
+
+    @cached_property
+    def points(self) -> list[RationalVector]:
+        return self.index.decode(self.index.keys)
 
     @cached_property
     def ks(self) -> list[tuple[int, ...]]:
@@ -393,15 +398,13 @@ class GridSpec:
     the lower bound and unit/den the step.  A point list, keyed by the
     extra points that fall inside the box, is built only as its integer
     lattice index (`lattice`), once per q, and kept for as long as the
-    instance lives; so are its decoded points (`points`), the value tables
-    of a list (`table`) and the ball grids built from this one (`ball`).
-    Nothing is kept past the instance.
+    instance lives; so are its `PointTable` (`table`), which holds the
+    decoded points and the value tables of the list, and the ball grids
+    built from this one (`ball`).  Nothing is kept past the instance.
     """
 
     box: BoxSet
     points_per_axis: int
-    _lists: dict[frozenset, list[RationalVector]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
     _indexes: dict[tuple[frozenset, int], _LatticeIndex] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _tables: dict[frozenset, PointTable] = field(
@@ -434,15 +437,9 @@ class GridSpec:
 
     def points(self, extra: Iterable[RationalVector] = ()) -> list[RationalVector]:
         """All grid points in lexicographic order, merged with any extra
-        points that fall inside the box (exceptional points, base points),
-        decoded from the list's lattice index for q = 1; every caller gets
-        its own copy."""
-        inside = self._inside(extra)
-        pts = self._lists.get(inside)
-        if pts is None:
-            index = self._index(inside, 1)
-            pts = self._lists[inside] = index.decode(index.keys)
-        return list(pts)
+        points that fall inside the box (exceptional points, base points):
+        a copy of the list its `table` decodes."""
+        return list(self.table(extra).points)
 
     def lattice(self, extra: Iterable[RationalVector], q: int) -> _LatticeIndex:
         """The integer index of `points(extra)` for lambdas over q.
@@ -588,12 +585,12 @@ def feasible_contains(problem: DCProblem, x: RationalVector) -> bool:
 class ConvexityVerdict:
     """Grid-relative verdict; Falsified carries the exact witness triple."""
 
-    status: str  # "NotFalsified" | "Falsified"
+    status: Status  # NOT_FALSIFIED or FALSIFIED
     witness: tuple[RationalVector, RationalVector, Fraction] | None = None
 
     @property
     def falsified(self) -> bool:
-        return self.status == "Falsified"
+        return self.status == Status.FALSIFIED
 
 
 def _pair_lambdas(lambdas: Sequence[Fraction]) -> list[Fraction]:
@@ -717,7 +714,7 @@ class _Lattice(_LatticeMap):
 
     def witness(self, a: int, b: int, lam: Fraction) -> ConvexityVerdict:
         x1, x2 = self.index.decode([self.q * self.keys[a], self.q * self.keys[b]])
-        return ConvexityVerdict("Falsified", (x1, x2, lam))
+        return ConvexityVerdict(Status.FALSIFIED, (x1, x2, lam))
 
 
 def check_cone_convex(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
@@ -736,7 +733,7 @@ def check_cone_convex(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
     """
     lat = _Lattice(vmap, cone, grid, lambdas)
     if lat.convex_on_line():
-        return ConvexityVerdict("NotFalsified")
+        return ConvexityVerdict(Status.NOT_FALSIFIED)
     q, keys, values, value = lat.q, lat.keys, lat.values, lat.value
     for a, b, lam, w in lat.pairs():
         wc = q - w
@@ -744,7 +741,7 @@ def check_cone_convex(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
         for sa, sb, sm in zip(values[a], values[b], mid):
             if w * sa + wc * sb < q * sm:
                 return lat.witness(a, b, lam)
-    return ConvexityVerdict("NotFalsified")
+    return ConvexityVerdict(Status.NOT_FALSIFIED)
 
 
 def check_convexlike(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
@@ -768,7 +765,7 @@ def check_convexlike(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
     masks = [sum(1 << r for r, kept in enumerate(minimal) if _at_least(row, kept))
              for row in values]
     if reduce(and_, masks, -1):
-        return ConvexityVerdict("NotFalsified")
+        return ConvexityVerdict(Status.NOT_FALSIFIED)
     bounds = [tuple(q * m for m in row) for row in minimal]
     for a, b, lam, w in lat.pairs():
         if masks[a] & masks[b]:
@@ -777,4 +774,4 @@ def check_convexlike(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
         target = [w * sa + wc * sb for sa, sb in zip(values[a], values[b])]
         if not any(_at_least(target, row) for row in bounds):
             return lat.witness(a, b, lam)
-    return ConvexityVerdict("NotFalsified")
+    return ConvexityVerdict(Status.NOT_FALSIFIED)

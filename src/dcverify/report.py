@@ -11,11 +11,30 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Any
 
 from .cones import RationalVector, format_rational
 
 TOOL_NAME = "dcverify"
+
+
+class Status(str, Enum):
+    """Every status of a verdict, outcome or result; a member is its string."""
+
+    __str__ = str.__str__  # so that f-strings print the value on 3.11+ too
+    NOT_FALSIFIED = "NotFalsified"
+    FALSIFIED = "Falsified"
+    CERTIFIED_ON_GRID = "CertifiedOnGrid"
+    NOT_CERTIFIED = "NotCertified"
+    SOLUTION_EXISTS = "SolutionExists"
+    MULTIPLIERS = "Multipliers"
+    GRID_GAP = "GridGap"
+    ALL_CANDIDATES_CERTIFIED = "AllCandidatesCertified"
+    FAILED_FOR = "FailedFor"
+    INFEASIBLE_ON_GRID = "InfeasibleOnGrid"
+    FEASIBLE = "Feasible"
+    INFEASIBLE = "Infeasible"
 
 
 @dataclass

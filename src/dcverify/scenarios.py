@@ -44,7 +44,7 @@ from .problem import (
     check_convexlike,
 )
 from .problemfile import ParsedProblem, parse_problem
-from .report import CheckResult, Report, vec_strs
+from .report import CheckResult, Report, Status, vec_strs
 from .subdiff import eps_subdiff_contains, strong_subdiff_contains
 
 SCENARIO_FILES = {
@@ -109,8 +109,8 @@ def omega_result(parsed: ParsedProblem, grid: GridSpec) -> CheckResult:
     if feasible:
         data["min"] = [format_rational(c) for c in feasible[0]]
         data["max"] = [format_rational(c) for c in feasible[-1]]
-    return CheckResult("feasible-set", "CertifiedOnGrid" if xbar_ok else "Falsified",
-                       params=_params(grid), data=data)
+    status = Status.CERTIFIED_ON_GRID if xbar_ok else Status.FALSIFIED
+    return CheckResult("feasible-set", status, params=_params(grid), data=data)
 
 
 def convexity_results(parsed: ParsedProblem, grid: GridSpec) -> tuple[list[CheckResult], list[str]]:
@@ -246,9 +246,9 @@ def alternative_result(parsed: ParsedProblem, U: NeighborhoodSpec,
     outcome = alternative_system(Fsys, Gsys, problem.K, problem.D,
                                  GridSpec(ball, grid.points_per_axis))
     data: dict = {"T": str(T), "L": str(L)}
-    if outcome.kind == "SolutionExists":
+    if outcome.kind == Status.SOLUTION_EXISTS:
         data["x"] = vec_strs(outcome.x)
-    elif outcome.kind == "Multipliers":
+    elif outcome.kind == Status.MULTIPLIERS:
         data.update(_certificate_data(outcome.certificate))
     if outcome.warnings:
         data["warnings"] = list(outcome.warnings)
@@ -285,7 +285,7 @@ def necessary_result(parsed: ParsedProblem, mode: str, target: str,
                      U: NeighborhoodSpec, grid: GridSpec) -> CheckResult:
     outcome = necessary_condition(parsed.problem, parsed.candidates_T,
                                   parsed.candidates_L, target, mode, U, grid)
-    if outcome.kind == "Multipliers":
+    if outcome.kind == Status.MULTIPLIERS:
         data = _certificate_data(outcome.certificate)
         data["chosen_T"] = str(outcome.chosen_T)
         data["chosen_L"] = str(outcome.chosen_L)

@@ -24,6 +24,7 @@ from .cones import (
     cone_contains,
 )
 from .problem import GridSpec, VectorMap
+from .report import Status
 
 
 @dataclass(frozen=True)
@@ -81,12 +82,12 @@ class LinearOperator:
 class SubdiffVerdict:
     """Grid verdict for a single candidate operator."""
 
-    status: str  # "CertifiedOnGrid" | "Falsified"
+    status: Status  # CERTIFIED_ON_GRID or FALSIFIED
     witness: RationalVector | None
 
     @property
     def certified(self) -> bool:
-        return self.status == "CertifiedOnGrid"
+        return self.status == Status.CERTIFIED_ON_GRID
 
 
 def strong_subdiff_contains(vmap: VectorMap, cone: PolyhedralCone, xbar: RationalVector,
@@ -100,19 +101,18 @@ def eps_subdiff_contains(vmap: VectorMap, cone: PolyhedralCone, xbar: RationalVe
     """Check map(x) - map(xbar) - T(x - xbar) + eps in cone for every grid x;
     eps must be a cone member.  The differences are formed as ints from the
     grid's value table of the map (`PointTable.affine`) and tested by their
-    pairings with the cone normals."""
+    pairings with the cone normals; only a witness is decoded."""
     if not cone_contains(cone, eps):
         raise ValueError("eps not in the ordering cone")
     if T.out_dim != vmap.out_dim or T.in_dim != vmap.in_dim:
         raise DimensionMismatchError("operator shape does not match the map")
-    extra = vmap.exception_points() + [xbar]
-    points = grid.points(extra=extra)
-    _, rows = grid.table(extra).affine(vmap, vmap.evaluate(xbar), T.matrix, eps, xbar,
-                                       range(len(points)))
-    for x, diff in zip(points, rows):
+    table = grid.table(vmap.exception_points() + [xbar])
+    keys = table.index.keys
+    _, rows = table.affine(vmap, vmap.evaluate(xbar), T.matrix, eps, xbar, range(len(keys)))
+    for key, diff in zip(keys, rows):
         if any(_dot(a, diff) < 0 for a in cone.normals):
-            return SubdiffVerdict("Falsified", x)
-    return SubdiffVerdict("CertifiedOnGrid", None)
+            return SubdiffVerdict(Status.FALSIFIED, table.index.decode([key])[0])
+    return SubdiffVerdict(Status.CERTIFIED_ON_GRID, None)
 
 
 @dataclass(frozen=True)
@@ -155,13 +155,14 @@ def scalar_eps_subdiff_interval(phi: VectorMap, xbar: Fraction | int | str,
     if not grid.box.contains(base_pt):
         raise ValueError("grid interval must contain xbar")
     base = phi.evaluate(base_pt)[0]
+    table = grid.table(phi.exception_points() + [base_pt])
+    values = table.values(phi)
     lo: Fraction | None = None
     hi: Fraction | None = None
-    for p in grid.points(extra=phi.exception_points() + [base_pt]):
-        x = p[0]
+    for (x,), (y,) in zip(table.points, values.rows):
         if x == xb:
             continue
-        quotient = (phi.evaluate(p)[0] - base + e) / (x - xb)
+        quotient = (Fraction(y, values.scale) - base + e) / (x - xb)
         if x > xb:
             hi = quotient if hi is None else min(hi, quotient)
         else:

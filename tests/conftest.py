@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from dcverify import (
     BoxSet,
@@ -39,6 +41,24 @@ def quartic_quadratic():
 def exceptional_point():
     """The shipped exceptional-point instance (scalar objective)."""
     return load_scenario_problem("example-4-1")
+
+
+@cache
+def rationals(lo: int | None = None, hi: int | None = None, max_denominator: int = 1):
+    """Fractions n/d with 1 <= d <= max_denominator and lo <= n/d <= hi
+    (unbounded where None), drawn as two integers from strategies built
+    once per bounds; drawing from `st.fractions` costs far more than the
+    checks under test."""
+    denominators = st.integers(1, max_denominator)
+    numerators = {d: st.integers(None if lo is None else lo * d, None if hi is None else hi * d)
+                  for d in range(1, max_denominator + 1)}
+
+    @st.composite
+    def rational(draw):
+        d = draw(denominators)
+        return Fraction(draw(numerators[d]), d)
+
+    return rational()
 
 
 def random_cone(rng: random.Random, dim: int) -> PolyhedralCone:

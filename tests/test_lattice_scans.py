@@ -29,6 +29,7 @@ from dcverify import (
 )
 from dcverify.problem import ConvexityVerdict, _Lattice, _rational_gcd
 from dcverify.scenarios import convexity_results, load_scenario_problem
+from conftest import rationals
 
 
 def _oracle_setup(vmap, cone, grid, lambdas):
@@ -94,7 +95,7 @@ def oracle_convexlike(vmap, cone, grid, lambdas):
     return ConvexityVerdict("NotFalsified")
 
 
-small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+small = rationals(-3, 3, max_denominator=3)
 LAMBDA_POOL = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
                Fraction(3, 4), Fraction(2, 5)]
 
@@ -139,7 +140,7 @@ def exception_point(draw, grid, lams):
         lam = draw(st.sampled_from(lams))
         return tuple(lam * draw(st.sampled_from(a)) + (1 - lam) * draw(st.sampled_from(a))
                      for a in axes)
-    return tuple(draw(st.fractions(min_value=-4, max_value=4, max_denominator=7))
+    return tuple(draw(rationals(-4, 4, max_denominator=7))
                  for _ in axes)
 
 
@@ -213,7 +214,7 @@ def lines(draw):
         monos = [((0,) * dim, draw(small))]
         monos += [(e, draw(small)) for e in unit if draw(st.booleans())]
         monos += [(tuple(2 * draw(st.integers(1, 2)) * u for u in e),
-                   draw(st.fractions(min_value=0, max_value=3, max_denominator=3)))
+                   draw(rationals(0, 3, max_denominator=3)))
                   for e in unit if draw(st.booleans())]
         if draw(st.integers(0, 4)) == 0:
             monos.append((draw(st.tuples(*[st.integers(0, 3)] * dim)), draw(small)))
@@ -362,7 +363,7 @@ def boxes(draw):
     zero width, with extra points on the grid, on the fine lattice of the
     lambdas, or on neither, and the q of the lambdas."""
     dim = draw(st.integers(1, 3))
-    lower = [draw(st.fractions(-3, 3, max_denominator=6)) for _ in range(dim)]
+    lower = [draw(rationals(-3, 3, max_denominator=6)) for _ in range(dim)]
     widths = [draw(st.sampled_from([0, Fraction(1), Fraction(3, 2), Fraction(2, 3),
                                     Fraction(5, 7)])) for _ in range(dim)]
     upper = [lo + w for lo, w in zip(lower, widths)]
@@ -426,7 +427,7 @@ def polynomial_lines(draw):
     on the fine lattice, or off both."""
     dim = draw(st.sampled_from([1, 2]))
     flat = draw(st.integers(0, dim - 1)) if dim == 2 else None
-    lower = [draw(st.fractions(-2, 2, max_denominator=5)) for _ in range(dim)]
+    lower = [draw(rationals(-2, 2, max_denominator=5)) for _ in range(dim)]
     width = st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(4, 5)])
     upper = [lo if axis == flat else lo + draw(width) for axis, lo in enumerate(lower)]
     grid = GridSpec(BoxSet(RationalVector(tuple(lower)), RationalVector(tuple(upper))),

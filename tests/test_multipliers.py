@@ -1,6 +1,6 @@
 """Feasibility core and the four theorem engines."""
 
-import sys
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -34,9 +34,9 @@ from dcverify.multipliers import (
     SolverLimitError,
     _certificate,
     _grid_rows,
-    _scaled,
 )
-from conftest import scalar_map, scalar_problem
+from dcverify.problem import _MapTable
+from conftest import rationals, scalar_map, scalar_problem
 
 V = RationalVector.of
 F = Fraction
@@ -141,23 +141,23 @@ class TestAlternativeSystem:
             assert out.kind in ("SolutionExists", "Multipliers")
             assert (out.x is None) != (out.certificate is None)
 
-    def test_each_map_evaluated_once_per_point_without_solution(self, monkeypatch):
+    def test_each_map_tabulated_once_per_call(self, monkeypatch):
+        """The solution scan and the LP rows read one value table per map;
+        the convexlike scans build lattices of their own, not tables."""
         Fmap = scalar_map(((1,), F(1)))
         Gmap = scalar_map(((1,), F(-1)))
-        grid = grid_over(-1, 1)
-        calls = Counter()
-        evaluate = VectorMap.evaluate
+        builds = Counter()
+        build = _MapTable.__init__
 
-        def spy(vmap, x):
-            # the convexlike scans evaluate on their own; count only the
-            # solution scan and the LP rows
-            if sys._getframe(1).f_code.co_name == "alternative_system":
-                calls[id(vmap), x] += 1
-            return evaluate(vmap, x)
+        def spy(self, vmap, index):
+            builds[id(vmap)] += 1
+            build(self, vmap, index)
 
-        monkeypatch.setattr(VectorMap, "evaluate", spy)
-        assert alternative_system(Fmap, Gmap, RAY, RAY, grid).kind == "Multipliers"
-        assert calls == Counter({(id(m), x): 1 for m in (Fmap, Gmap) for x in grid.points()})
+        monkeypatch.setattr(_MapTable, "__init__", spy)
+        for _ in range(2):
+            builds.clear()
+            assert alternative_system(Fmap, Gmap, RAY, RAY, grid_over(-1, 1)).kind == "Multipliers"
+            assert builds == Counter({id(Fmap): 1, id(Gmap): 1})
 
     def test_non_convexlike_inputs_warn_but_run(self):
         two_valued = VectorMap(1, 2, ((), ()),
@@ -169,7 +169,13 @@ class TestAlternativeSystem:
         assert out.kind in ("SolutionExists", "Multipliers", "GridGap")
 
 
-SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SMALL = rationals(-3, 3, max_denominator=4)
+
+
+def _scaled(v: RationalVector) -> tuple[int, list[int]]:
+    """(s, ints): v as ints over the least positive scale s."""
+    s = math.lcm(*(c.denominator for c in v))
+    return s, [c.numerator * (s // c.denominator) for c in v]
 
 
 @st.composite
@@ -177,7 +183,7 @@ def coefficient_rows(draw):
     """Rows (y; z1, z2) drawn as rational multiples of a few base rows, so
     that positive multiples, negative multiples and zero rows all occur."""
     bases = draw(st.lists(st.tuples(SMALL, SMALL, SMALL), min_size=1, max_size=4))
-    scales = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    scales = rationals(-4, 4, max_denominator=4)
     return [tuple(draw(scales) * c for c in draw(st.sampled_from(bases)))
             for _ in range(draw(st.integers(1, 10)))]
 

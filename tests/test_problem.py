@@ -22,7 +22,7 @@ from dcverify import (
     nonnegative_orthant,
 )
 from dcverify.problem import _eval_poly
-from conftest import scalar_map
+from conftest import rationals, scalar_map
 
 V = RationalVector.of
 HALF = Fraction(1, 2)
@@ -53,8 +53,8 @@ class TestEvaluate:
 
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
         st.lists(st.tuples(st.tuples(*[st.integers(0, 4)] * n),
-                           st.fractions(max_denominator=12)), max_size=6),
-        st.lists(st.fractions(max_denominator=60), min_size=n, max_size=n))))
+                           rationals(max_denominator=12)), max_size=6),
+        st.lists(rationals(max_denominator=60), min_size=n, max_size=n))))
     def test_integer_sum_matches_term_by_term_fractions(self, case):
         monomials, x = case
         expected = Fraction(0)
@@ -124,11 +124,11 @@ class TestGridSpec:
             GridSpec(box1(0, 1), 1)
 
     @given(st.integers(1, 2).flatmap(lambda n: st.tuples(
-        st.lists(st.tuples(st.fractions(-2, 2, max_denominator=4),
-                           st.fractions(0, 2, max_denominator=3)), min_size=n, max_size=n),
+        st.lists(st.tuples(rationals(-2, 2, max_denominator=4),
+                           rationals(0, 2, max_denominator=3)), min_size=n, max_size=n),
         st.integers(2, 5),
-        st.lists(st.lists(st.fractions(-3, 3, max_denominator=6), min_size=n, max_size=n)
-                 | st.lists(st.fractions(max_denominator=6), min_size=1, max_size=3),
+        st.lists(st.lists(rationals(-3, 3, max_denominator=6), min_size=n, max_size=n)
+                 | st.lists(rationals(max_denominator=6), min_size=1, max_size=3),
                  max_size=4))))
     def test_points_match_sorted_union(self, case):
         """Each call equals the sorted union of the grid and the in-box

@@ -1,20 +1,23 @@
 """The grid's value tables, against the per-point ``Fraction`` code they
 replaced.
 
-Omega, eps-weak and eps-proper minimality, eps-subdifferential membership
-and the multiplier row builders read integer tables of each map on the
-certification points (`problem.PointTable`).  The code they replaced is
-kept below as the oracle: whole verdicts, ``CheckResult``s and every
-``Constraint`` list handed to ``solve_feasibility`` must be equal.  A work
-count pins that a scenario evaluates each map at most once per point and
-asks `feasible_contains` at most once per point.
+Omega, eps-weak and eps-proper minimality, eps-subdifferential membership,
+the convexlike alternative and the multiplier row builders read integer
+tables of each map on a grid's point list (`problem.PointTable`).  The code
+they replaced is kept below as the oracle: whole verdicts and outcomes,
+``CheckResult``s and every ``Constraint`` list handed to
+``solve_feasibility`` must be equal.  Work counts pin that a scenario
+evaluates each map at most once per point and asks `feasible_contains` at
+most once per point, and that no check evaluates a map per grid point.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 from collections import Counter
 from fractions import Fraction
+from importlib.resources import files
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,22 +31,25 @@ from dcverify import (
     DCProblem,
     DimensionMismatchError,
     GridSpec,
+    InteriorEmptyError,
     LinearOperator,
     NeighborhoodSpec,
     PolyhedralCone,
     RationalVector,
     VectorMap,
+    check_convexlike,
     cone_contains,
     gradient_field,
     nonnegative_orthant,
 )
+from dcverify.cli import main
 from dcverify.cones import _cleared, _int_primitive, format_rational
-from dcverify.multipliers import Constraint, _pad
+from dcverify.multipliers import AlternativeOutcome, Constraint, _pad, _prefix, _solve_multipliers
 from dcverify.pareto import ProperMinVerdict, WeakMinVerdict
 from dcverify.problem import _MapTable, feasible_contains
 from dcverify.problemfile import ParsedProblem, ScenarioOptions
 from dcverify.report import CheckResult
-from dcverify.scenarios import _params, check_results, omega_result, run_scenario
+from dcverify.scenarios import CHECK_KINDS, _params, check_results, omega_result, run_scenario
 from dcverify.subdiff import SubdiffVerdict
 
 # --- the replaced code, as the oracle --------------------------------------
@@ -150,12 +156,33 @@ def oracle_subgradient_rows(problem, values, T, L, eps=None):
     return oracle_grid_rows(entries, problem.K, problem.D)
 
 
+def oracle_alternative_system(Fmap, Gmap, K, D, C_grid):
+    warnings = []
+    for vmap, cone, name in ((Fmap, K, "F"), (Gmap, D, "G")):
+        verdict = check_convexlike(vmap, cone, C_grid)
+        if verdict.falsified:
+            x1, x2, lam = verdict.witness
+            warnings.append(
+                f"map {name} is not convexlike on the grid "
+                f"(witness {x1}, {x2}, lambda={format_rational(lam)})")
+    entries = []
+    for x in C_grid.points(extra=Fmap.exception_points() + Gmap.exception_points()):
+        fx, gx = Fmap.evaluate(x), Gmap.evaluate(x)
+        if cone_contains(K, -fx, strict=True) and cone_contains(D, -gx, strict=True):
+            return AlternativeOutcome("SolutionExists", x=x, warnings=tuple(warnings))
+        entries.append((fx, gx, f"value-row x={x}"))
+    certificate = _solve_multipliers(_prefix(K, D), oracle_grid_rows(entries, K, D), K.dim)
+    return AlternativeOutcome("GridGap" if certificate is None else "Multipliers",
+                              certificate=certificate, warnings=tuple(warnings))
+
+
 ORACLES = (
     (scenarios, "check_eps_weak_local_min", oracle_check_eps_weak_local_min),
     (multipliers, "check_eps_weak_local_min", oracle_check_eps_weak_local_min),
     (scenarios, "check_eps_proper_local_min", oracle_check_eps_proper_local_min),
     (scenarios, "eps_subdiff_contains", oracle_eps_subdiff_contains),
     (scenarios, "strong_subdiff_contains", oracle_strong_subdiff_contains),
+    (scenarios, "alternative_system", oracle_alternative_system),
     (multipliers, "_local_values", oracle_local_values),
     (multipliers, "_subgradient_rows", oracle_subgradient_rows),
 )
@@ -261,28 +288,34 @@ def problems(draw):
     return parsed, grid, U, mode, target, frozenset(tags)
 
 
-KINDS = ("weak-min", "proper-min", "subdiff", "sufficient", "necessary")
+KINDS = ("weak-min", "proper-min", "subdiff", "alternative", "sufficient", "necessary")
 
 
 def run_checks(parsed, grid, U, mode, target, omega):
     """The omega result and the results of every kind, or the error each
-    raised, with the constraint lists every LP was handed."""
-    systems = []
-    solve = multipliers.solve_feasibility
+    raised, then the alternative's outcome, with the constraint lists every
+    LP was handed."""
+    systems, alternatives = [], []
+    solve, alternative = multipliers.solve_feasibility, scenarios.alternative_system
 
     def spy(lfp):
         systems.append(lfp.constraints)
         return solve(lfp)
 
+    def spy_alternative(*args):
+        alternatives.append(alternative(*args))
+        return alternatives[-1]
+
     outcomes = []
-    with patched([(multipliers, "solve_feasibility", spy)]):
+    with patched([(multipliers, "solve_feasibility", spy),
+                  (scenarios, "alternative_system", spy_alternative)]):
         for kind in ("omega",) + KINDS:
             try:
                 outcomes.append(omega(parsed, grid) if kind == "omega"
                                 else check_results(kind, parsed, U, grid, mode, target))
             except ValueError as exc:
                 outcomes.append((type(exc), str(exc)))
-    return outcomes, systems
+    return outcomes + alternatives, systems
 
 
 def both(case):
@@ -296,29 +329,35 @@ def both(case):
 
 
 def test_tables_match_fraction_oracle():
-    """Equal results and LP systems on every generated problem; the
-    strategy is not degenerate: every tagged case occurs, the weak-min
-    check both certifies and falsifies, and rows reach the LPs."""
-    tags, statuses, rows = set(), set(), 0
+    """Equal results, alternative outcomes and LP systems on every generated
+    problem; the strategy is not degenerate: every tagged case occurs, the
+    weak-min check both certifies and falsifies, the alternative finds
+    solutions and multipliers and meets a cone without interior, and
+    subgradient and value rows reach the LPs."""
+    tags, statuses, kinds, rows, value_rows = set(), set(), set(), 0, 0
 
     @settings(max_examples=80)
     @given(problems())
     def differential(case):
-        nonlocal rows
+        nonlocal rows, value_rows
         (new, new_systems), (old, old_systems) = both(case)
         assert new == old
         assert new_systems == old_systems
         tags.update(case[-1])
         if isinstance(new[1], list):
             statuses.add(new[1][0].status)
-        rows += sum(1 for system in new_systems for c in system
-                    if c.label.startswith("subgradient-row"))
+        alternative = new[1 + KINDS.index("alternative")]
+        kinds.add(alternative[0].status if isinstance(alternative, list) else alternative[0])
+        labels = [c.label for system in new_systems for c in system]
+        rows += sum(label.startswith("subgradient-row") for label in labels)
+        value_rows += sum(label.startswith("value-row") for label in labels)
 
     differential()
     assert tags == {"1-D", "2-D", "flat side", "xbar off the grid", "exception on the grid",
                     "exception off the grid", "exception at xbar"}
     assert statuses == {"CertifiedOnGrid", "Falsified"}
-    assert rows > 0
+    assert {"SolutionExists", "Multipliers", InteriorEmptyError} <= kinds
+    assert rows > 0 and value_rows > 0
 
 
 # --- work counts -------------------------------------------------------------
@@ -370,3 +409,39 @@ def test_scenario_evaluates_each_map_once_per_point(monkeypatch):
         assert len(direct) <= 4 * 5
         assert feasible == Counter(points)
         assert set(outside) == {parsed.problem.xbar}
+
+
+def test_no_check_evaluates_a_map_per_grid_point(monkeypatch):
+    """Every check kind on both shipped problems makes as many
+    `VectorMap.evaluate` calls outside `feasible_contains` at grid 11 as at
+    grid 41: the grid points are read from the tables."""
+    inside, calls = [], [0]
+    evaluate = VectorMap.evaluate
+
+    def spy_feasible(problem, x):
+        inside.append(x)
+        try:
+            return feasible_contains(problem, x)
+        finally:
+            inside.pop()
+
+    def spy_evaluate(vmap, x):
+        calls[0] += not inside
+        return evaluate(vmap, x)
+
+    monkeypatch.setattr(pareto, "feasible_contains", spy_feasible)
+    monkeypatch.setattr(VectorMap, "evaluate", spy_evaluate)
+    for problem in ("example_3_1", "example_4_1"):
+        path = str(files("dcverify").joinpath("problems", f"{problem}.problem"))
+        for kind in CHECK_KINDS:
+            modes = [["--mode", m, "--target", t] for m in ("corrected", "legacy-gl")
+                     for t in ("weak", "proper")] if kind in ("sufficient", "necessary") else [[]]
+            for mode in modes:
+                counts = []
+                for grid in ("11", "41"):
+                    before = calls[0]
+                    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        main(["check", kind, "--problem", path, "--grid", grid, *mode])
+                    counts.append(calls[0] - before)
+                assert counts[0] == counts[1], (problem, kind, *mode, counts)
