@@ -7,10 +7,11 @@ variable bounded by one and maximized with a deterministic two-phase simplex
 under Bland's rule; the strict system is satisfiable exactly when the
 optimal slack is positive.  A tableau row is sparse: its nonzero entries as
 Python integers, the exact row times a positive scale.  Pivots are
-fraction-free and touch only stored entries; on a long grid system nearly
-all of the about m pivots are degenerate and update every row, each of
-about three stored entries.  Feasible assignments are read back as exact
-``Fraction`` values, and each certificate is checked exactly on its rows.
+fraction-free, update each row in place and touch only stored entries; on a
+long grid system nearly all of the about m pivots are degenerate and update
+every row, each of about three stored entries.  Feasible assignments are
+read back as exact ``Fraction`` values, and each certificate is checked
+exactly, in integers, on its rows.
 
 On top of the core sit the theorem engines:
 
@@ -52,7 +53,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cones import (
-    DimensionMismatchError,
     PolyhedralCone,
     RationalVector,
     _dot,
@@ -145,43 +145,57 @@ def _reduced(row: dict[int, int]) -> dict[int, int]:
 
 
 def _eliminate(row: dict[int, int], p: int, prow: dict[int, int], f: int) -> dict[int, int]:
-    """p * row - f * prow, storing no zero entry, with the gcd divided out."""
-    new = {k: p * v for k, v in row.items()}
+    """Set row to p * row - f * prow in place, storing no zero entry, and
+    return it.  With g = gcd(p, f) divided out of both multipliers, p = 1
+    leaves row unscaled and only prow's keys are touched; otherwise the row
+    is scaled, updated and divided by the gcd of its entries."""
+    g = math.gcd(p, f)
+    p, f = p // g, f // g
+    if p != 1:
+        for k in row:
+            row[k] *= p
     for k, v in prow.items():
-        w = new.get(k, 0) - f * v
+        w = row.get(k, 0) - f * v
         if w:
-            new[k] = w
+            row[k] = w
         else:
-            del new[k]
-    return _reduced(new)
+            del row[k]
+    if p != 1:
+        g = math.gcd(*row.values())
+        if g > 1:
+            for k in row:
+                row[k] //= g
+    return row
 
 
 def _pivot(tableau: list[dict[int, int]], zrow: dict[int, int], basis: list[int],
-           i: int, j: int) -> dict[int, int]:
-    """Make column j basic in row i by fraction-free elimination, and return
-    the objective row zrow with column j eliminated the same way.
+           i: int, j: int) -> None:
+    """Make column j basic in row i by fraction-free elimination, and
+    eliminate column j from the objective row zrow the same way; every row
+    is updated in place.
 
     A row maps the column of each nonzero entry to that int, with a nonzero
     rhs under key -1; it is its tableau row times an implicit positive
     scale, so the basic entry of a row is that scale.  With p = tableau[i][j]
     > 0 (row i is negated first when p < 0), p * R - f * R_i clears column j
-    of a row R with entry f and keeps its scale positive; dividing out the
-    gcd keeps the integers small.  Only stored entries are read or written.
-    Signs, ratios and zero patterns, all that the pivoting rules read, are
-    those of the tableau.
+    of a row R with entry f and keeps its scale positive (``_eliminate``).
+    Only stored entries are read or written.  Signs, ratios and zero
+    patterns, all that the pivoting rules read, are those of the tableau.
     """
     prow = tableau[i]
     p = prow[j]
     if p < 0:
-        prow = tableau[i] = {k: -v for k, v in prow.items()}
+        for k in prow:
+            prow[k] = -prow[k]
         p = -p
     for r, row in enumerate(tableau):
         f = row.get(j)
         if f and r != i:
-            tableau[r] = _eliminate(row, p, prow, f)
+            _eliminate(row, p, prow, f)
     basis[i] = j
     f = zrow.get(j)
-    return _eliminate(zrow, p, prow, f) if f else zrow
+    if f:
+        _eliminate(zrow, p, prow, f)
 
 
 def _run_simplex(tableau: list[dict[int, int]], zrow: dict[int, int],
@@ -206,7 +220,7 @@ def _run_simplex(tableau: list[dict[int, int]], zrow: dict[int, int],
                 leave, best_rhs, best_a = r, b, a
         if leave is None:
             raise RuntimeError("both simplex phases are bounded, yet a column is unbounded")
-        zrow = _pivot(tableau, zrow, basis, leave, enter)
+        _pivot(tableau, zrow, basis, leave, enter)
 
 
 def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
@@ -337,18 +351,30 @@ def _certificate(lfp: LinearFeasibilityProblem, result: FeasibilityResult,
                  y_dim: int) -> MultiplierCertificate:
     """The certificate of a feasible result, checked exactly: every residual
     must satisfy its relation and the multipliers must not all vanish, so no
-    unverified multiplier verdict is reported."""
-    assert result.assignment is not None
-    residuals = tuple(c.value(result.assignment) - c.rhs for c in lfp.constraints)
-    for c, residual in zip(lfp.constraints, residuals):
-        if not c.residual_holds(residual):
+    unverified multiplier verdict is reported.
+
+    The check runs on integers: with the assignment over one common
+    denominator d and a row's coefficients and rhs over their own e, the
+    residual is an integer over e * d > 0, so the integer has its sign."""
+    assignment = result.assignment
+    assert assignment is not None
+    d = math.lcm(*(v.denominator for v in assignment))
+    nums = [v.numerator * (d // v.denominator) for v in assignment]
+    residuals = []
+    for c in lfp.constraints:
+        e = math.lcm(c.rhs.denominator, *(v.denominator for v in c.coeffs))
+        num = sum(v.numerator * (e // v.denominator) * n for v, n in zip(c.coeffs, nums) if v) \
+            - c.rhs.numerator * (e // c.rhs.denominator) * d
+        residual = Fraction(num, e * d)
+        if not c.residual_holds(num):
             raise RuntimeError(f"multiplier assignment breaks the {c.label or 'unlabelled'} "
                                f"row ({c.relation}, residual {format_rational(residual)})")
-    if not any(result.assignment):
+        residuals.append(residual)
+    if not any(assignment):
         raise RuntimeError("multiplier assignment is all zero")
-    ystar = RationalVector(result.assignment[:y_dim])
-    zstar = RationalVector(result.assignment[y_dim:])
-    return MultiplierCertificate(ystar, zstar, residuals, lfp)
+    ystar = RationalVector(assignment[:y_dim])
+    zstar = RationalVector(assignment[y_dim:])
+    return MultiplierCertificate(ystar, zstar, tuple(residuals), lfp)
 
 
 @dataclass(frozen=True)
@@ -484,8 +510,9 @@ def alternative_system(Fmap: VectorMap, Gmap: VectorMap, K: PolyhedralCone,
     """Exactly one branch: a grid point with both values strictly negative,
     or nonzero dual multipliers with all scalarized grid values nonnegative.
 
-    Convexlike falsification on the grid only warns; the search still runs.
-    An infeasible multiplier system with no grid solution is surfaced as
+    Convexlike falsification on the grid only warns; the search still runs,
+    but a map and cone of different dimensions are refused there.  An
+    infeasible multiplier system with no grid solution is surfaced as
     GridGap, which cannot happen when the strict system is insoluble over
     the whole convex domain rather than merely on the grid.
     """
@@ -499,8 +526,6 @@ def alternative_system(Fmap: VectorMap, Gmap: VectorMap, K: PolyhedralCone,
                 f"(witness {x1}, {x2}, lambda={format_rational(lam)})")
     table = C_grid.table(Fmap.exception_points() + Gmap.exception_points())
     Ft, Gt = table.values(Fmap), table.values(Gmap)
-    if Fmap.out_dim != K.dim or Gmap.out_dim != D.dim:
-        raise DimensionMismatchError("map and cone dimensions differ")
     K_normals = K.interior_normals()
     entries = []
     for x, fy, gy in zip(table.points, Ft.rows, Gt.rows):

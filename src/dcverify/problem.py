@@ -634,6 +634,8 @@ class _Lattice(_LatticeMap):
 
     def __init__(self, vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
                  lambdas: Sequence[Fraction]) -> None:
+        if vmap.out_dim != cone.dim:
+            raise DimensionMismatchError("map and cone dimensions differ")
         self.lams = _pair_lambdas(lambdas)
         self.q = lcm(*(lam.denominator for lam in self.lams))
         index = grid.lattice(vmap.exception_points(), self.q)

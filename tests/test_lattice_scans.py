@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from dcverify import (
     BoxSet,
+    DimensionMismatchError,
     GridSpec,
     PolyhedralCone,
     RationalVector,
@@ -189,6 +190,16 @@ def test_mirrored_orientation_witness_matches_oracle():
     verdict = check_cone_convex(notch, ray, grid, lams)
     assert verdict == oracle_cone_convex(notch, ray, grid, lams)
     assert verdict.witness == (RationalVector.of(1), RationalVector.of(0), Fraction(1, 3))
+
+
+@pytest.mark.parametrize("check", [check_cone_convex, check_convexlike])
+def test_scans_refuse_map_and_cone_of_different_dimensions(check):
+    # F(x) = (x, -x^2) into R^2 against a ray in R^1, as cone_contains refuses
+    vmap = VectorMap.from_coeffs(1, 2, [[((1,), 1)], [((2,), -1)]])
+    ray = PolyhedralCone.from_generators([RationalVector.of(1)])
+    grid = GridSpec(BoxSet(RationalVector.of(-1), RationalVector.of(1)), 5)
+    with pytest.raises(DimensionMismatchError):
+        check(vmap, ray, grid)
 
 
 @st.composite

@@ -8,11 +8,16 @@ rules.  Positive row scaling keeps every sign and ratio those rules read, so
 both solvers must return equal results, slack and assignment included.
 Fourier-Motzkin elimination gives an independent feasibility answer for
 small systems.
+
+The sparse pivot step that built a new dict per row update is kept below
+as the pivot reference.  It is cheap enough for the long engine systems, so
+the in-place row updates are checked against it pivot by pivot there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +162,64 @@ def oracle_solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult
     return FeasibilityResult("Feasible", assignment, slack)
 
 
+# --- the dict-building sparse pivot, as the pivot reference ---------------
+
+
+def reference_eliminate(row: dict[int, int], p: int, prow: dict[int, int],
+                        f: int) -> dict[int, int]:
+    """p * row - f * prow, storing no zero entry, with the gcd divided out."""
+    new = {k: p * v for k, v in row.items()}
+    for k, v in prow.items():
+        w = new.get(k, 0) - f * v
+        if w:
+            new[k] = w
+        else:
+            del new[k]
+    return multipliers._reduced(new)
+
+
+def reference_pivot(tableau: list[dict[int, int]], zrow: dict[int, int], basis: list[int],
+                    i: int, j: int) -> None:
+    """The pivot step with a new dict per row update; the objective row it
+    computes is written back into zrow, which the simplex loop reads."""
+    prow = tableau[i]
+    p = prow[j]
+    if p < 0:
+        prow = tableau[i] = {k: -v for k, v in prow.items()}
+        p = -p
+    for r, row in enumerate(tableau):
+        f = row.get(j)
+        if f and r != i:
+            tableau[r] = reference_eliminate(row, p, prow, f)
+    basis[i] = j
+    f = zrow.get(j)
+    if f:
+        new = reference_eliminate(zrow, p, prow, f)
+        zrow.clear()
+        zrow.update(new)
+
+
+def solve_with_pivot(lfp: LinearFeasibilityProblem, pivot) -> tuple[FeasibilityResult, list]:
+    """The result of ``solve_feasibility`` with ``pivot`` as its pivot step,
+    and the (leaving row, entering column) of every pivot it made."""
+    sequence = []
+
+    def step(tableau, zrow, basis, i, j):
+        sequence.append((i, j))
+        pivot(tableau, zrow, basis, i, j)
+
+    with mock.patch.object(multipliers, "_pivot", step):
+        return solve_feasibility(lfp), sequence
+
+
+def reference_checked(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
+    """The result of ``solve_feasibility``, asserted equal to the reference's,
+    pivot sequence included."""
+    result, sequence = solve_with_pivot(lfp, multipliers._pivot)
+    assert (result, sequence) == solve_with_pivot(lfp, reference_pivot)
+    return result
+
+
 # --- brute force for small systems -----------------------------------------
 
 
@@ -295,6 +358,12 @@ def test_grid_shaped_systems_reach_both_statuses_and_30_rows():
     assert most_rows >= 30
 
 
+@settings(max_examples=100)
+@given(grid_systems())
+def test_grid_shaped_systems_take_reference_pivots(lfp):
+    reference_checked(lfp)
+
+
 # --- the systems the multiplier engines build ------------------------------
 
 
@@ -364,3 +433,60 @@ def test_row_updates_write_only_stored_entries(monkeypatch):
     corrected_sufficient("example-4-1", 101)
     assert len(written) > 2000
     assert sum(written) / len(written) < 5
+
+
+@pytest.mark.parametrize("name", ["example-3-1", "example-4-1"])
+def test_engine_systems_take_reference_pivots(name, monkeypatch):
+    """The sufficient and necessary checks of a shipped problem, in both
+    modes and for both targets at grids 33, 65 and 101, pose long degenerate
+    systems; every one takes the reference's pivots and gets its result."""
+    solved = []
+
+    def compare(lfp):
+        solved.append(len(lfp.constraints))
+        return reference_checked(lfp)
+
+    monkeypatch.setattr(multipliers, "solve_feasibility", compare)
+    parsed = load_scenario_problem(name)
+    U = NeighborhoodSpec(parsed.options.radius)
+    for points in (33, 65, 101):
+        grid = GridSpec(parsed.problem.C, points)
+        for kind in ("sufficient", "necessary"):
+            for mode in (multipliers.MODE_CORRECTED, multipliers.MODE_LEGACY):
+                for target in (multipliers.TARGET_WEAK, multipliers.TARGET_PROPER):
+                    check_results(kind, parsed, U, grid, mode=mode, target=target)
+    assert max(solved) >= 30
+
+
+def test_drive_out_enters_least_stored_column(monkeypatch):
+    """After phase 1, an artificial still basic (at level zero) is driven
+    out by a pivot on the least column stored in its row, the column the
+    oracle enters.  Here y0 >= 0 and -y0 >= 0 leave the artificial of the
+    last row basic, and its row stores the surplus columns of both rows, 4
+    and 6.  The pivot is degenerate and no strict row follows it with a
+    phase 2, so the result does not show the column; the pivots made
+    outside both simplex phases do."""
+    one = Fraction(1)
+    lfp = LinearFeasibilityProblem(("y0", "z0"), (
+        Constraint((one, ZERO), "ge", ZERO), Constraint((ZERO, one), "ge", ZERO),
+        Constraint((one, one), "eq", one), Constraint((-one, ZERO), "ge", ZERO)))
+    depth, drive_outs = 0, []
+    run_simplex, pivot = multipliers._run_simplex, multipliers._pivot
+
+    def phase(*args):
+        nonlocal depth
+        depth += 1
+        try:
+            return run_simplex(*args)
+        finally:
+            depth -= 1
+
+    def step(tableau, zrow, basis, i, j):
+        if not depth:
+            drive_outs.append((i, j, sorted(k for k in tableau[i] if k >= 0)))
+        pivot(tableau, zrow, basis, i, j)
+
+    monkeypatch.setattr(multipliers, "_run_simplex", phase)
+    monkeypatch.setattr(multipliers, "_pivot", step)
+    assert solve_feasibility(lfp) == FeasibilityResult("Feasible", (ZERO, one))
+    assert drive_outs == [(3, 4, [4, 6])]

@@ -13,6 +13,7 @@ from dcverify import (
     Constraint,
     CorrectionPair,
     DCProblem,
+    DimensionMismatchError,
     GridSpec,
     LinearFeasibilityProblem,
     LinearOperator,
@@ -28,7 +29,7 @@ from dcverify import (
     solve_feasibility,
     sufficient_condition,
 )
-from dcverify.cones import _cleared, _int_primitive
+from dcverify.cones import _cleared, _int_primitive, format_rational
 from dcverify.multipliers import (
     FeasibilityResult,
     SolverLimitError,
@@ -124,6 +125,11 @@ class TestAlternativeSystem:
         assert out.kind == "SolutionExists"
         assert out.x == V(-1)
         assert shifted.evaluate(out.x)[0] < 0
+
+    def test_map_and_cone_of_different_dimensions_refused(self):
+        plane_map = VectorMap.from_coeffs(1, 2, [[((1,), 1)], [((2,), -1)]])
+        with pytest.raises(DimensionMismatchError):
+            alternative_system(scalar_map(((1,), F(1))), plane_map, RAY, RAY, grid_over(-1, 1, 5))
 
     def test_subgradient_shifted_pair(self, exceptional_point):
         # F - F(0) - 0*(x - 0) + 0 is F itself; H - H(0) - 1*(x - 0) vanishes
@@ -379,6 +385,36 @@ class TestCertificates:
         ))
         with pytest.raises(RuntimeError):
             _certificate(lfp, FeasibilityResult("Feasible", assignment), 1)
+
+    @given(st.data())
+    def test_integer_check_matches_fraction_residuals(self, data):
+        """The check clears denominators and reads the sign of an integer;
+        it keeps the Fraction residuals, accepts exactly the assignments
+        every row holds at, and names the first row that breaks."""
+        q = rationals(-3, 3, 4)
+        n = data.draw(st.integers(2, 3))
+        assignment = data.draw(st.tuples(*[q] * n))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            coeffs = data.draw(st.tuples(*[q] * n))
+            residual = data.draw(st.sampled_from([F(0), F(0), F(1, 2), F(-1, 3), F(2)]))
+            value = sum(c * v for c, v in zip(coeffs, assignment))
+            rows.append(Constraint(coeffs, data.draw(st.sampled_from(("ge", "eq", "gt"))),
+                                   value - residual))
+        lfp = LinearFeasibilityProblem(tuple(f"v{k}" for k in range(n)), tuple(rows))
+        residuals = tuple(c.value(assignment) - c.rhs for c in rows)
+        broken = [(c, r) for c, r in zip(rows, residuals) if not c.residual_holds(r)]
+        try:
+            cert = _certificate(lfp, FeasibilityResult("Feasible", assignment), 1)
+        except RuntimeError as exc:
+            if broken:
+                c, r = broken[0]
+                assert str(exc) == (f"multiplier assignment breaks the unlabelled row "
+                                    f"({c.relation}, residual {format_rational(r)})")
+            else:
+                assert not any(assignment) and str(exc) == "multiplier assignment is all zero"
+        else:
+            assert not broken and any(assignment) and cert.residuals == residuals
 
     def test_certificate_of_solver_result_is_checked(self):
         lfp = LinearFeasibilityProblem(("y0", "z0"), (
