@@ -15,16 +15,17 @@ is exact and carries the radius-exhaustion trace and a witness point.
 
 The check evaluates once per radius, not once per (eps, radius) scan.  Each
 radius's ball grid is taken from the template grid (`GridSpec.ball`), which
-builds it once, so two fields checked on one template share it.  Each point
-gets one row the first time a scan reaches it: for every (T, T*) pair, the
-pairings <a, (T - T*)(x - xbar)> / d(x, xbar) with each halfspace normal a
-of the cone, as integers over one positive scale per pair.  The row is
-computed in integers from the ball grid's lattice index: x - xbar is an
-int vector up to a positive factor, and for each (formula, base operator)
-pair the polynomials a^T (T(x) - T*) become integer polynomials in the
-numerators of x once per ball grid.  Exceptional points keep their
-override operators.  Since a pair satisfies the inequality at x exactly
-when each of its pairings is at most <a, eps>, an eps sample is tested by
+builds it once, so two fields checked on one template share it.  For each
+(formula, base operator) pair (T, T*), the functionals a^T (T(x) - T*) of
+the cone's halfspace normals a, column by column, are the outputs of one
+polynomial map, which the ball grid's `PointTable` holds as integers at
+every point, as it holds any map (a 1-D ball grid by differences).
+Exceptional points keep their override operators, laid out alike.  Each
+point gets one row the first time a scan reaches it: its layout paired with
+x - xbar, an int vector up to a positive factor, gives every pair's
+pairings <a, (T - T*)(x - xbar)> / d(x, xbar) as integers over one
+positive scale.  Since a pair satisfies the inequality at x exactly when
+each of its pairings is at most <a, eps>, an eps sample is tested by
 integer comparisons alone.  A scan walks the index's packed keys in
 lexicographic point order and decodes only the first violator.
 """
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import lcm
 from operator import mul
 from typing import Callable, Sequence
@@ -48,12 +50,10 @@ from .cones import (
 from .problem import (
     BoxSet,
     GridSpec,
-    IntPoly,
     Monomial,
+    PointTable,
     VectorMap,
     _eval_poly,
-    _int_eval,
-    _int_polys,
 )
 from .report import Status
 from .subdiff import LinearOperator
@@ -165,6 +165,8 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
     """
     if eps_samples is None:
         eps_samples = default_eps_samples(cone)
+    if not eps_samples:
+        raise ValueError("eps_samples must be nonempty")
     for eps in eps_samples:
         if not cone_contains(cone, eps, strict=True):
             raise ValueError(f"eps sample {eps} is not strictly interior to the cone")
@@ -180,6 +182,7 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
     # the cone's integer normals, as (coordinate, coefficient) for each
     # nonzero coefficient
     normals = [[(i, c) for i, c in enumerate(a) if c] for a in cone.normals]
+    width = xbar.dim
 
     def check_shape(out_dim: int, in_dim: int) -> None:
         if in_dim != xbar.dim or out_dim != cone.dim:
@@ -187,91 +190,80 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
                 f"operator of shape {out_dim}x{in_dim} vs domain dim {xbar.dim} "
                 f"and cone dim {cone.dim}")
 
-    def functionals(op: LinearOperator) -> tuple[int, list[list[int]]]:
-        """(E, rows): E * a^T op for each halfspace normal a, as int rows,
-        with E > 0 the least common denominator of the operator."""
+    def functionals(op: LinearOperator) -> list[Fraction]:
+        """a^T op column by column for each halfspace normal a."""
         check_shape(op.out_dim, op.in_dim)
-        scale = lcm(*(v.denominator for row in op.matrix for v in row))
-        ints = [[v.numerator * (scale // v.denominator) for v in row] for row in op.matrix]
-        return scale, [[sum(c * ints[i][j] for i, c in a) for j in range(op.in_dim)]
-                       for a in normals]
-
-    def applied(scaled: tuple[int, list[list[int]]], step: list[int]) -> tuple[int, list[int]]:
-        scale, rows = scaled
-        return scale, [sum(c * s for c, s in zip(row, step)) for row in rows]
+        return [sum(c * op.matrix[i][j] for i, c in a) for a in normals for j in range(width)]
 
     base = [functionals(Tstar) for Tstar in field.operators_at(xbar)]
     extra = field.exception_points() + [xbar]
 
     @cache
-    def relative() -> list[list[tuple[Monomial, ...]]]:
-        """a^T (T(x) - T*) column by column for each normal a, with T(x) one
-        formula and T* one base operator, as polynomials in x over Q: one
-        list per (formula, base operator) pair.  Built at the first formula
-        point a scan reaches."""
+    def relative() -> VectorMap | None:
+        """a^T (T(x) - T*) column by column for each normal a, for each
+        (formula T, base operator T*) pair in turn, as one map of x; None
+        when the cone has no normals.  Built at the first formula point a
+        scan reaches."""
         check_shape(field.out_dim, field.in_dim)
-        zero = (0,) * field.in_dim
-        pairs = []
+        zero = (0,) * width
+        polys = []
         for formula in field.formulas:
-            for sb, rows in base:
-                polys = []
-                for a, row in zip(normals, rows):
-                    for j in range(field.in_dim):
-                        terms: dict[tuple[int, ...], Fraction] = {zero: Fraction(-row[j], sb)}
-                        for i, c in a:
-                            for exponents, coeff in formula[i][j]:
-                                terms[exponents] = terms.get(exponents, 0) + c * coeff
-                        polys.append(tuple((e, v) for e, v in terms.items() if v))
-                pairs.append(polys)
-        return pairs
+            for at_base in base:
+                for (a, j), value in zip(product(normals, range(width)), at_base):
+                    terms = {zero: -value}
+                    for i, c in a:
+                        for exponents, coeff in formula[i][j]:
+                            terms[exponents] = terms.get(exponents, 0) + c * coeff
+                    polys.append(tuple((e, v) for e, v in terms.items() if v))
+        return VectorMap(width, len(polys), tuple(polys)) if polys else None
 
-    def pairings(index) -> Callable[[int], list[tuple[int, tuple[int, ...]]] | None]:
-        """The row of the point at each packed key of one ball grid's
-        index: one (D, pairs) per (T, T*) pair, where pairs holds D * <a,
-        (T - T*)(x - xbar)> / d(x, xbar) for each normal a, as ints, with
-        D > 0.  None at xbar, where every pair satisfies every eps."""
-        axes, dens = index.axes, index.dens
+    def overridden(ops: Sequence[LinearOperator]) -> tuple[int, list[int]]:
+        """(E, row): E * the layout of `relative` at a point whose
+        operators are ops, as ints, with E > 0."""
+        at_x = [functionals(T) for T in ops]
+        values = [t - u for tx in at_x for at_base in base for t, u in zip(tx, at_base)]
+        scale = lcm(*(v.denominator for v in values))
+        return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+    def pairings(table: PointTable) -> Callable[[int], list[tuple[int, tuple[int, ...]]] | None]:
+        """The row of the point at each position of one ball grid's table,
+        from its layout of `relative` (or of its override operators): one
+        (D, pairs) per (T, T*) pair, where pairs holds D * <a, (T -
+        T*)(x - xbar)> / d(x, xbar) for each normal a, as ints, with D > 0.
+        None at xbar, where every pair satisfies every eps."""
+        index = table.index
         # x - xbar along axis d is (K_d - Kbar_d) * unit_d / den_d; over the
         # lcm of the dens it is an int vector, a positive multiple of the
         # step, and the pairings and the distance scale alike, so their
         # ratio is unchanged
-        common = lcm(*dens)
-        weights = [unit * (common // den) for (_, unit, *_), den in zip(axes, dens)]
-        center = index.extra_keys[xbar.coords]
-        kbar = index.digits(center)
-        overrides: dict[int, tuple[LinearOperator, ...]] = {}
-        for p, ops in field.exceptions:
-            key = index.extra_keys.get(p.coords)
-            if key is not None:
-                overrides.setdefault(key, ops)
-        # E * the relative polynomials as integer polynomials in the
-        # numerators base_d + K_d*unit_d of x, one E > 0 per pair
-        int_polys: list[tuple[int, list[IntPoly]]] = []
-        width = field.in_dim
+        common = lcm(*index.dens)
+        weights = [unit * (common // den) for (_, unit, *_), den in zip(index.axes, index.dens)]
+        kbar = index.digits(index.extra_keys[xbar.coords])
+        # the first override listed at a point wins, as in `operators_at`
+        overrides = {index.extra_keys[p.coords]: ops for p, ops in reversed(field.exceptions)
+                     if p.coords in index.extra_keys}
+        n = len(normals)
 
-        def row(key: int) -> list[tuple[int, tuple[int, ...]]] | None:
-            ks = index.digits(key)
-            step = [(kx - kb) * w for kx, kb, w in zip(ks, kbar, weights)]
+        def row(k: int) -> list[tuple[int, tuple[int, ...]]] | None:
+            step = [(kx - kb) * w for kx, kb, w in zip(table.ks[k], kbar, weights)]
             d = max(map(abs, step))
             if d == 0:
                 return None
-            ops = overrides.get(key)
+            ops = overrides.get(index.keys[k])
             if ops is not None:
-                at_x = [applied(functionals(T), step) for T in ops]
-                at_base = [applied(rows, step) for rows in base]
-                return [(sx * sb * d, tuple(sb * t - sx * u for t, u in zip(tx, ub)))
-                        for sx, tx in at_x for sb, ub in at_base]
-            if not field.formulas:
-                raise ValueError(f"operator field has no operator at {index.decode([key])[0]}")
-            if not int_polys:
-                int_polys.extend(_int_polys(polys, dens) for polys in relative())
-            xs = [b + kx * unit for (b, unit, *_), kx in zip(axes, ks)]
-            out = []
-            for scale, polys in int_polys:
-                values = _int_eval(polys, xs)
-                out.append((scale * d, tuple(sum(map(mul, values[at:at + width], step))
-                                             for at in range(0, len(values), width))))
-            return out
+                count = len(ops)
+                scale, ys = overridden(ops)
+            elif not field.formulas:
+                x = index.decode([index.keys[k]])[0]
+                raise ValueError(f"operator field has no operator at {x}")
+            else:
+                count, scale, ys = len(field.formulas), 1, []
+                rel = relative()
+                if rel is not None:
+                    values = table.values(rel)
+                    scale, ys = values.scale, values.rows[k]
+            sums = [sum(map(mul, ys[at:at + width], step)) for at in range(0, len(ys), width)]
+            return [(scale * d, tuple(sums[p * n:p * n + n])) for p in range(count * len(base))]
 
         return row
 
@@ -281,12 +273,12 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
         """The first point in lexicographic order with no pair satisfying
         eps, given as <a, eps> = bounds[a] / den; only it is decoded."""
         if radius not in tables:
-            index = template.ball(xbar, radius).lattice(extra, 1)
-            tables[radius] = (index, pairings(index), [])
+            table = template.ball(xbar, radius).table(extra)
+            tables[radius] = (table.index, pairings(table), [])
         index, row, rows = tables[radius]
         for k, key in enumerate(index.keys):
             if k == len(rows):
-                rows.append(row(key))
+                rows.append(row(k))
             pairs = rows[k]
             if pairs is None:
                 continue
@@ -306,13 +298,11 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
         den = lcm(*(e.denominator for e in pairing))
         bounds = [e.numerator * (den // e.denominator) for e in pairing]
         trials: list[RadiusTrial] = []
-        certified: Fraction | None = None
         for radius in radii:
-            w = violator(bounds, den, radius)
-            trials.append(RadiusTrial(radius, w))
-            if w is None:
-                certified = radius
+            trials.append(RadiusTrial(radius, violator(bounds, den, radius)))
+            if trials[-1].witness is None:
                 break
+        certified = radius if trials[-1].witness is None else None
         evidence.append(EpsEvidence(eps, certified, tuple(trials)))
         if certified is None:
             return DissipativityVerdict(

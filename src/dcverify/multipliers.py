@@ -67,6 +67,9 @@ from .report import Status
 from .subdiff import LinearOperator
 
 MAX_VARIABLES = 8
+# pivots per tableau row past which a simplex phase has lost its tableau;
+# no LP of the tests or benchmark workloads makes more than 7.9
+PIVOTS_PER_ROW = 80
 
 MODE_CORRECTED = "corrected"
 MODE_LEGACY = "legacy-gl"
@@ -75,7 +78,8 @@ TARGET_PROPER = "proper"
 
 
 class SolverLimitError(ValueError):
-    """The feasibility system exceeds the supported variable count."""
+    """The feasibility system exceeds the supported variable count, or a
+    simplex phase exceeds its pivot bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +207,9 @@ def _run_simplex(tableau: list[dict[int, int]], zrow: dict[int, int],
     """Minimize with Bland's rule and return the optimal objective row; zrow
     holds c_B B^-1 A - c and the objective value (negated cost convention)
     under key -1.  The leaving row has the least (rhs / entry, basic
-    column), with ratios compared by cross-multiplication."""
-    while True:
+    column), with ratios compared by cross-multiplication.  A phase that
+    needs more than PIVOTS_PER_ROW pivots per row raises."""
+    for _ in range(PIVOTS_PER_ROW * len(tableau) + 1):
         enter = min((j for j, v in zrow.items() if v > 0 and j >= 0), default=None)
         if enter is None:
             return zrow
@@ -221,6 +226,7 @@ def _run_simplex(tableau: list[dict[int, int]], zrow: dict[int, int],
         if leave is None:
             raise RuntimeError("both simplex phases are bounded, yet a column is unbounded")
         _pivot(tableau, zrow, basis, leave, enter)
+    raise SolverLimitError(f"a simplex phase needed more than {PIVOTS_PER_ROW} pivots per row")
 
 
 def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:

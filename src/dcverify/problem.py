@@ -20,8 +20,10 @@ A `GridSpec` keeps, for as long as it lives, what its points determine:
 each point list as its integer lattice index, and the list's `PointTable`,
 which decodes the points once and holds each map as integers over one
 positive scale at every point, evaluated once per point.  Every engine
-reads those tables.  `VectorMap.evaluate` serves only single points (the
-base point, witnesses, library callers) and `feasible_contains`, which
+but the convexity scans (`_Lattice`) reads those tables, dissipativity on
+its ball grids, and only this module makes polynomials integer.
+`VectorMap.evaluate` serves only single points (the base point,
+witnesses, library callers) and `feasible_contains`, which
 `pareto.feasible_positions` asks once per certification point.
 """
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 import pytest
@@ -388,34 +389,39 @@ def rational_vector_sets(draw):
     return dim, [RationalVector(r) for r in rows]
 
 
-@settings(max_examples=300)
-@given(rational_vector_sets())
-def test_integer_layer_matches_fraction_canonicalization(case):
-    dim, vectors = case
-    assert (build(PolyhedralCone.from_generators, vectors)
-            == build(fraction_from_generators, vectors))
-    assert (build(PolyhedralCone.from_halfspaces, vectors, dim)
-            == build(fraction_from_halfspaces, vectors, dim))
-
-
-def test_rational_sets_reach_every_cone_shape():
-    """The strategy is not degenerate: in every dimension it yields pointed
-    and lined cones with non-integer input coordinates, and 4-D sets of
-    five and six vectors."""
+@cache
+def canonicalization_run() -> frozenset:
+    """Run the canonicalization differential once per session, and return
+    the cone shapes its draws reached."""
     shapes = set()
 
     @settings(max_examples=300)
     @given(rational_vector_sets())
-    def collect(case):
+    def differential(case):
         dim, vectors = case
         cone = build(PolyhedralCone.from_generators, vectors)
+        assert cone == build(fraction_from_generators, vectors)
+        assert (build(PolyhedralCone.from_halfspaces, vectors, dim)
+                == build(fraction_from_halfspaces, vectors, dim))
         if isinstance(cone, str) or all(c.denominator == 1 for v in vectors for c in v):
             return
         shapes.add((dim, "line" if cone.lineality_basis else "pointed"))
         if dim == 4:
             shapes.add((dim, len(vectors)))
 
-    collect()
+    differential()
+    return frozenset(shapes)
+
+
+def test_integer_layer_matches_fraction_canonicalization():
+    canonicalization_run()
+
+
+def test_rational_sets_reach_every_cone_shape():
+    """The strategy is not degenerate: in every dimension it yields pointed
+    and lined cones with non-integer input coordinates, and 4-D sets of
+    five and six vectors.  Read from the differential's draws."""
+    shapes = canonicalization_run()
     assert {(dim, shape) for dim in (1, 2, 3, 4) for shape in ("line", "pointed")} <= shapes
     assert {(4, 5), (4, 6)} <= shapes
 
@@ -451,39 +457,46 @@ def membership_cases(draw):
     return cone, draw(st.lists(vectors, min_size=2, max_size=6))
 
 
-@settings(max_examples=300)
-@given(membership_cases())
-def test_membership_matches_fraction_dot_products(case):
-    cone, vectors = case
-    for v in vectors:
-        for strict in (False, True):
-            if strict and not cone.full_dimensional:
-                for member in (cone.contains, lambda v, strict: cone_contains(cone, v, strict)):
-                    with pytest.raises(InteriorEmptyError):
-                        member(v, strict=True)
-                continue
-            expected = fraction_member(cone, v, strict)
-            assert cone.contains(v, strict=strict) == expected
-            assert cone_contains(cone, v, strict=strict) == expected
+@cache
+def membership_run() -> frozenset:
+    """Run the membership differential once per session, and return the
+    outcomes its draws reached: each cone's (shape, full-dimensional) and
+    each query's (member, interior)."""
+    outcomes = set()
+
+    @settings(max_examples=300)
+    @given(membership_cases())
+    def differential(case):
+        cone, vectors = case
+        lin = len(cone.lineality_basis)
+        outcomes.add(("line" if lin else "pointed", cone.full_dimensional))
+        for v in vectors:
+            interior = cone.full_dimensional and fraction_member(cone, v, True)
+            outcomes.add((fraction_member(cone, v, False), interior))
+            for strict in (False, True):
+                if strict and not cone.full_dimensional:
+                    for member in (cone.contains, lambda v, strict: cone_contains(cone, v, strict)):
+                        with pytest.raises(InteriorEmptyError):
+                            member(v, strict=True)
+                    continue
+                expected = fraction_member(cone, v, strict)
+                assert cone.contains(v, strict=strict) == expected
+                assert cone_contains(cone, v, strict=strict) == expected
+
+    differential()
+    return frozenset(outcomes)
+
+
+def test_membership_matches_fraction_dot_products():
+    membership_run()
 
 
 def test_membership_cases_reach_every_outcome():
     """The strategy is not degenerate: every cone shape occurs, and both
     verdicts of strict and non-strict membership occur, the boundary case
-    (member but not interior) among them."""
-    outcomes = set()
-
-    @settings(max_examples=300)
-    @given(membership_cases())
-    def collect(case):
-        cone, vectors = case
-        lin = len(cone.lineality_basis)
-        outcomes.add(("line" if lin else "pointed", cone.full_dimensional))
-        for v in vectors:
-            strict = cone.full_dimensional and fraction_member(cone, v, True)
-            outcomes.add((fraction_member(cone, v, False), strict))
-
-    collect()
+    (member but not interior) among them.  Read from the differential's
+    draws."""
+    outcomes = membership_run()
     assert {("pointed", True), ("pointed", False), ("line", True), ("line", False),
             (True, True), (True, False), (False, False)} <= outcomes
 

@@ -9,10 +9,11 @@ and both must return equal verdicts, evidence trails included.
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dcverify import (
@@ -23,6 +24,7 @@ from dcverify import (
     OperatorField,
     PolyhedralCone,
     RationalVector,
+    VectorMap,
     check_approx_pseudo_dissipative,
     cone_contains,
     gradient_field,
@@ -37,11 +39,13 @@ from dcverify.dissipativity import (
     RadiusTrial,
     default_eps_samples,
 )
-from dcverify.problem import _LatticeIndex
+from dcverify.problem import _LatticeIndex, _MapTable
 from dcverify.scenarios import run_scenario
 
 V = RationalVector.of
 RAY = PolyhedralCone.from_generators([V(1)])
+# the whole line: a cone with no halfspace normals
+LINE = PolyhedralCone.from_generators([V(1), V(-1)])
 
 
 def template(n=33):
@@ -55,6 +59,11 @@ def switch_field() -> OperatorField:
         formulas=((((),),),),  # the zero polynomial entry
         exceptions=((V(0), (LinearOperator.from_rows([[1]]),)),),
     )
+
+
+def identity_field() -> OperatorField:
+    """x -> {[x]}, the gradient field of x^2 / 2."""
+    return gradient_field(VectorMap.from_coeffs(1, 1, [[((2,), "1/2")]]))
 
 
 class TestGradientFields:
@@ -151,6 +160,22 @@ class TestValidationAndInvariants:
                 grid_template=template())
             assert base.status == rescaled.status == "Falsified"
 
+    def test_empty_eps_samples_rejected_before_any_grid(self, index_builds):
+        # no sample would make every field vacuously NotFalsified
+        with pytest.raises(ValueError, match="eps_samples must be nonempty"):
+            check_approx_pseudo_dissipative(identity_field(), V(0), RAY, eps_samples=[],
+                                            grid_template=template())
+        assert index_builds == []
+
+    def test_whole_space_cone_certifies_at_first_radius(self):
+        # with no halfspace normals every pair satisfies every eps, and the
+        # relative map would have no outputs
+        verdict = check_approx_pseudo_dissipative(identity_field(), V(0), LINE,
+                                                  grid_template=template())
+        assert verdict.status == "NotFalsified"
+        first = (RadiusTrial(DEFAULT_RADII[0], None),)
+        assert [ev.trials for ev in verdict.evidence] == [first] * 5
+
     def test_field_requires_nonempty_operator_lists(self):
         with pytest.raises(ValueError):
             OperatorField(1, 1, formulas=(), exceptions=((V(0), ()),))
@@ -191,10 +216,25 @@ def decoded(monkeypatch):
 
 
 class TestWorkCounts:
-    def test_one_ball_grid_per_distinct_radius(self, quartic_quadratic, index_builds, decoded):
+    def test_one_ball_grid_per_distinct_radius(self, quartic_quadratic, index_builds, decoded,
+                                               monkeypatch):
         p = quartic_quadratic.problem
+        tables, direct = [], Counter()
+        build, poly_at = _MapTable.__init__, _MapTable._poly_at
+
+        def spy_build(self, vmap, index):
+            tables.append((vmap, index))
+            build(self, vmap, index)
+
+        def spy_poly_at(self, key):
+            direct[id(self)] += 1
+            return poly_at(self, key)
+
+        monkeypatch.setattr(_MapTable, "__init__", spy_build)
+        monkeypatch.setattr(_MapTable, "_poly_at", spy_poly_at)
+        grid_template = GridSpec(p.C, 101)
         verdict = check_approx_pseudo_dissipative(gradient_field(p.G), p.xbar, p.K,
-                                                  grid_template=GridSpec(p.C, 101))
+                                                  grid_template=grid_template)
         trials = [t.radius for ev in verdict.evidence for t in ev.trials]
         assert len(trials) == 14
         assert sorted(grid.box.upper[0] for grid, *_ in index_builds) == sorted(set(trials))
@@ -202,6 +242,14 @@ class TestWorkCounts:
         # only the violators are decoded, one point per failed trial
         violators = [t.witness for ev in verdict.evidence for t in ev.trials if t.witness]
         assert [points for _, _, points in decoded] == [[x] for x in violators]
+        # each ball grid's table is built once, for one relative map, and
+        # its line is tabulated by differences: the map is evaluated
+        # directly at most at degree + 1 keys of each
+        rel = tables[0][0]
+        assert all(vmap is rel for vmap, _ in tables)
+        assert len({id(index) for _, index in tables}) == len(tables) == 4
+        degree = max(e for monos in rel.coords for (e,), _ in monos)
+        assert len(direct) == 4 and max(direct.values()) <= degree + 1
 
     def test_scenario_builds_each_point_list_once(self, index_builds, decoded, monkeypatch):
         witnesses = []
@@ -379,24 +427,42 @@ def _outcome(engine, instance):
         return type(exc), str(exc)
 
 
-@given(instances())
-def test_tables_match_rescanning_oracle(instance):
-    assert (_outcome(check_approx_pseudo_dissipative, instance)
-            == _outcome(oracle_check_approx_pseudo_dissipative, instance))
+# pinned: the relative map of a cone with no normals has no outputs
+WHOLE_LINE = (identity_field(), V(0), LINE, None, None, GridSpec(BoxSet(V(0), V(0)), 5))
+
+
+@cache
+def oracle_run() -> frozenset:
+    """Run the differential against the oracle once per session, and return
+    what its draws reached: (status, with exceptions, with custom eps) per
+    drawn instance, with an error in place of the status where one was
+    raised."""
+    seen = set()
+
+    @example(WHOLE_LINE)
+    @given(instances())
+    def differential(instance):
+        outcome = _outcome(check_approx_pseudo_dissipative, instance)
+        assert outcome == _outcome(oracle_check_approx_pseudo_dissipative, instance)
+        if instance is WHOLE_LINE:
+            return
+        field, _, _, eps_samples, _, _ = instance
+        status = outcome.status if isinstance(outcome, DissipativityVerdict) else outcome
+        seen.add((status, bool(field.exceptions), eps_samples is not None))
+
+    differential()
+    return frozenset(seen)
+
+
+def test_tables_match_rescanning_oracle():
+    oracle_run()
 
 
 def test_generated_instances_reach_both_verdicts():
     """The strategy is not degenerate: it yields falsified and not-falsified
-    fields, with and without exceptions and custom eps lists."""
-    seen = set()
-
-    @given(instances())
-    def collect(instance):
-        field, _, _, eps_samples, _, _ = instance
-        verdict = check_approx_pseudo_dissipative(*instance)
-        seen.add((verdict.status, bool(field.exceptions), eps_samples is not None))
-
-    collect()
+    fields, with and without exceptions and custom eps lists.  Read from the
+    differential's draws."""
+    seen = oracle_run()
     assert {status for status, _, _ in seen} == {"Falsified", "NotFalsified"}
     assert {(exc, custom) for _, exc, custom in seen} == {(False, False), (False, True),
                                                           (True, False), (True, True)}

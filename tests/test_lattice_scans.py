@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import lcm, prod
 
 import pytest
@@ -252,28 +253,36 @@ def _certificate_outcome(vmap, cone, grid, lams):
     return "accept" if lat.convex_on_line() else "decline"
 
 
-@SETTINGS
-@given(lines())
-def test_line_certificate_matches_fraction_oracle(case):
-    vmap, cone, grid, lams = case
-    verdict = check_cone_convex(vmap, cone, grid, lams)
-    assert verdict == oracle_cone_convex(vmap, cone, grid, lams)
-    if _certificate_outcome(*case) == "accept":
-        assert not verdict.falsified
-
-
-def test_lines_reach_every_certificate_outcome():
-    """The strategy is not degenerate: the certificate accepts, declines on
-    a negative second difference, and is declined by the size guard."""
+@cache
+def line_run() -> frozenset:
+    """Run the line-certificate differential once per session, and return
+    the certificate outcomes its draws reached."""
     seen = set()
 
     @SETTINGS
     @given(lines())
-    def collect(case):
-        seen.add(_certificate_outcome(*case))
+    def differential(case):
+        vmap, cone, grid, lams = case
+        verdict = check_cone_convex(vmap, cone, grid, lams)
+        assert verdict == oracle_cone_convex(vmap, cone, grid, lams)
+        outcome = _certificate_outcome(*case)
+        seen.add(outcome)
+        if outcome == "accept":
+            assert not verdict.falsified
 
-    collect()
-    assert seen == {"accept", "decline", "guard"}
+    differential()
+    return frozenset(seen)
+
+
+def test_line_certificate_matches_fraction_oracle():
+    line_run()
+
+
+def test_lines_reach_every_certificate_outcome():
+    """The strategy is not degenerate: the certificate accepts, declines on
+    a negative second difference, and is declined by the size guard.  Read
+    from the differential's draws."""
+    assert line_run() == {"accept", "decline", "guard"}
 
 
 def _spy_values(monkeypatch):

@@ -490,3 +490,25 @@ def test_drive_out_enters_least_stored_column(monkeypatch):
     monkeypatch.setattr(multipliers, "_pivot", step)
     assert solve_feasibility(lfp) == FeasibilityResult("Feasible", (ZERO, one))
     assert drive_outs == [(3, 4, [4, 6])]
+
+
+def test_pivot_guard_turns_a_lost_tableau_into_an_error(monkeypatch):
+    """A row update that changes nothing keeps the entering column eligible
+    forever; the pivot bound of a phase turns that loop into a
+    `SolverLimitError` once the phase has made one pivot past the bound.
+    The spy fails the test at the pivot after that, so a missing guard fails
+    it fast instead of hanging it."""
+    lfp = LinearFeasibilityProblem(("x",), (Constraint((Fraction(1),), "ge", Fraction(1)),))
+    bound = multipliers.PIVOTS_PER_ROW * len(lfp.constraints) + 1
+    pivots, pivot = [], multipliers._pivot
+
+    def step(tableau, zrow, basis, i, j):
+        pivots.append((i, j))
+        assert len(pivots) <= bound, "the phase pivoted past its bound"
+        pivot(tableau, zrow, basis, i, j)
+
+    monkeypatch.setattr(multipliers, "_eliminate", lambda row, p, prow, f: row)
+    monkeypatch.setattr(multipliers, "_pivot", step)
+    with pytest.raises(multipliers.SolverLimitError, match="pivots per row"):
+        solve_feasibility(lfp)
+    assert pivots == [(0, 0)] * bound
