@@ -84,6 +84,8 @@ class OperatorField:
             for row in formula:
                 if len(row) != self.in_dim:
                     raise ValueError("formula column count must equal in_dim")
+                if any(len(exponents) != self.in_dim for entry in row for exponents, _ in entry):
+                    raise ValueError("exponent tuple length must equal in_dim")
         for point, ops in self.exceptions:
             if not ops:
                 raise ValueError("exception operator lists must be nonempty")

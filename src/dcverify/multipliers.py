@@ -37,6 +37,10 @@ One function, ``_solve_multipliers``, poses, solves and certifies every
 multiplier system: a prefix built once per engine call (the dual-cone rows,
 the complementarity equality when the mode carries one, then scale fixing)
 followed by the engine's own rows.  The modes differ only in their rows.
+A system with at least ``SUBSET_ROWS`` engine rows is first decided on a
+few of them by constraint generation (``_subset_infeasible``).  An
+infeasible subset makes the whole system infeasible, which reaches a report
+only as None, so no byte changes.  A feasible system is always solved whole.
 
 The multiplier pair is scale-fixed by one linear equality: the pairings of
 ystar with the generators of the objective cone plus the pairings of zstar
@@ -50,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cones import (
     PolyhedralCone,
@@ -70,6 +74,11 @@ MAX_VARIABLES = 8
 # pivots per tableau row past which a simplex phase has lost its tableau;
 # no LP of the tests or benchmark workloads makes more than 7.9
 PIVOTS_PER_ROW = 80
+# engine rows (past the prefix) from which a multiplier system is first
+# decided on subsets; ge rows added per subset round; rounds at most
+SUBSET_ROWS = 30
+SUBSET_GE_ROWS = 8
+SUBSET_ROUNDS = 3
 
 MODE_CORRECTED = "corrected"
 MODE_LEGACY = "legacy-gl"
@@ -353,25 +362,31 @@ class MultiplierCertificate:
         return f"ystar={self.ystar} zstar={self.zstar}"
 
 
+def _int_residuals(constraints: Iterable[Constraint],
+                   assignment: Sequence[Fraction]) -> Iterator[tuple[int, int]]:
+    """(num, den) per constraint with value - rhs = num / den: with the
+    assignment over one common denominator d and a row's coefficients and
+    rhs over their own e, den = e * d > 0, so num has the residual's sign."""
+    d = math.lcm(*(v.denominator for v in assignment))
+    nums = [v.numerator * (d // v.denominator) for v in assignment]
+    for c in constraints:
+        e = math.lcm(c.rhs.denominator, *(v.denominator for v in c.coeffs))
+        yield (sum(v.numerator * (e // v.denominator) * n for v, n in zip(c.coeffs, nums) if v)
+               - c.rhs.numerator * (e // c.rhs.denominator) * d, e * d)
+
+
 def _certificate(lfp: LinearFeasibilityProblem, result: FeasibilityResult,
                  y_dim: int) -> MultiplierCertificate:
     """The certificate of a feasible result, checked exactly: every residual
     must satisfy its relation and the multipliers must not all vanish, so no
     unverified multiplier verdict is reported.
 
-    The check runs on integers: with the assignment over one common
-    denominator d and a row's coefficients and rhs over their own e, the
-    residual is an integer over e * d > 0, so the integer has its sign."""
+    The check runs on integers (``_int_residuals``)."""
     assignment = result.assignment
     assert assignment is not None
-    d = math.lcm(*(v.denominator for v in assignment))
-    nums = [v.numerator * (d // v.denominator) for v in assignment]
     residuals = []
-    for c in lfp.constraints:
-        e = math.lcm(c.rhs.denominator, *(v.denominator for v in c.coeffs))
-        num = sum(v.numerator * (e // v.denominator) * n for v, n in zip(c.coeffs, nums) if v) \
-            - c.rhs.numerator * (e // c.rhs.denominator) * d
-        residual = Fraction(num, e * d)
+    for c, (num, den) in zip(lfp.constraints, _int_residuals(lfp.constraints, assignment)):
+        residual = Fraction(num, den)
         if not c.residual_holds(num):
             raise RuntimeError(f"multiplier assignment breaks the {c.label or 'unlabelled'} "
                                f"row ({c.relation}, residual {format_rational(residual)})")
@@ -440,14 +455,43 @@ def _prefix(K: PolyhedralCone, D: PolyhedralCone,
     return rows
 
 
+def _system(constraints: Sequence[Constraint], y_dim: int) -> LinearFeasibilityProblem:
+    """The constraints as a system in the unknowns y0.. (ystar) and z0.. (zstar)."""
+    names = tuple(f"y{i}" if i < y_dim else f"z{i - y_dim}"
+                  for i in range(len(constraints[0].coeffs)))
+    return LinearFeasibilityProblem(names, tuple(constraints))
+
+
+def _subset_infeasible(prefix: list[Constraint], rows: list[Constraint], y_dim: int) -> bool:
+    """Whether a subset of prefix + rows is infeasible, in at most
+    SUBSET_ROUNDS solves: the prefix, every eq/gt row and the first
+    SUBSET_GE_ROWS ge rows, then, while the subset is feasible, the subset
+    plus up to SUBSET_GE_ROWS rows its assignment violates.  False when no
+    round decides the system."""
+    rest = [i for i, c in enumerate(rows) if c.relation == "ge"][SUBSET_GE_ROWS:]
+    for _ in range(SUBSET_ROUNDS):
+        skip = set(rest)
+        result = solve_feasibility(
+            _system(prefix + [c for i, c in enumerate(rows) if i not in skip], y_dim))
+        if not result.feasible:
+            return True
+        residuals = _int_residuals([rows[i] for i in rest], result.assignment)
+        violated = [i for i, (num, _) in zip(rest, residuals)
+                    if not rows[i].residual_holds(num)][:SUBSET_GE_ROWS]
+        if not violated:
+            return False
+        rest = [i for i in rest if i not in violated]
+    return False
+
+
 def _solve_multipliers(prefix: list[Constraint], rows: list[Constraint],
                        y_dim: int) -> MultiplierCertificate | None:
     """The checked certificate of the system prefix + rows in the unknowns
-    y0.. (ystar) and z0.. (zstar), or None when it is infeasible."""
-    constraints = tuple(prefix + rows)
-    names = tuple(f"y{i}" if i < y_dim else f"z{i - y_dim}"
-                  for i in range(len(constraints[0].coeffs)))
-    lfp = LinearFeasibilityProblem(names, constraints)
+    y0.. (ystar) and z0.. (zstar), or None when it is infeasible; a long
+    system is first tried on subsets, and a feasible one is solved whole."""
+    if len(rows) >= SUBSET_ROWS and _subset_infeasible(prefix, rows, y_dim):
+        return None
+    lfp = _system(prefix + rows, y_dim)
     result = solve_feasibility(lfp)
     return _certificate(lfp, result, y_dim) if result.feasible else None
 

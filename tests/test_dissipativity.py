@@ -180,6 +180,12 @@ class TestValidationAndInvariants:
         with pytest.raises(ValueError):
             OperatorField(1, 1, formulas=(), exceptions=((V(0), ()),))
 
+    def test_field_rejects_exponent_tuples_of_another_length(self):
+        """x^(1,1) on a 1-D field is refused when the field is built, with
+        the message ``VectorMap`` gives; it is not truncated to x."""
+        with pytest.raises(ValueError, match="exponent tuple length must equal in_dim"):
+            OperatorField(1, 1, formulas=((((((1, 1), Fraction(1)),),),),))
+
 
 # --- work counts -------------------------------------------------------------
 

@@ -16,7 +16,10 @@ the in-place row updates are checked against it pivot by pivot there.
 
 from __future__ import annotations
 
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 
 from dcverify import Constraint, LinearFeasibilityProblem, solve_feasibility
 from dcverify import multipliers
+from dcverify.cli import main
 from dcverify.multipliers import FeasibilityResult
 from dcverify.pareto import NeighborhoodSpec
 from dcverify.problem import GridSpec
@@ -382,6 +386,32 @@ def oracle_checked(monkeypatch) -> list[tuple[int, str]]:
     return solved
 
 
+def engine_systems(monkeypatch) -> list[LinearFeasibilityProblem]:
+    """Spy on ``_solve_multipliers``: the returned list receives the full
+    system (prefix + rows) of every multiplier LP an engine poses, also
+    when a subset of its rows decides it."""
+    posed = []
+    solve = multipliers._solve_multipliers
+
+    def spy(prefix, rows, y_dim):
+        posed.append(multipliers._system(prefix + rows, y_dim))
+        return solve(prefix, rows, y_dim)
+
+    monkeypatch.setattr(multipliers, "_solve_multipliers", spy)
+    return posed
+
+
+def oracle_results(posed: list[LinearFeasibilityProblem]) -> list[tuple[int, str]]:
+    """(row count, status) per system, each solved by ``solve_feasibility``
+    and asserted equal to the oracle's result."""
+    solved = []
+    for lfp in posed:
+        result = solve_feasibility(lfp)
+        assert result == oracle_solve_feasibility(lfp)
+        solved.append((len(lfp.constraints), result.status))
+    return solved
+
+
 def corrected_sufficient(name: str, points: int) -> None:
     parsed = load_scenario_problem(name)
     check_results("sufficient", parsed, NeighborhoodSpec(parsed.options.radius),
@@ -407,20 +437,22 @@ def test_engine_systems_match_fraction_oracle(name, monkeypatch):
 def test_long_degenerate_engine_systems_match_fraction_oracle(monkeypatch):
     """The long systems of the benchmark's LP workload: example-4-1's
     corrected sufficient check at grid 65, and the LPs of the example-3-1
-    scenario at its grid of 101."""
-    solved = oracle_checked(monkeypatch)
+    scenario at its grid of 101.  Each is solved whole, whether or not a
+    subset of its rows decides it inside the engine."""
+    posed = engine_systems(monkeypatch)
     corrected_sufficient("example-4-1", 65)
-    assert solved == [(37, "Infeasible")]
-    solved.clear()
+    assert oracle_results(posed) == [(37, "Infeasible")]
+    posed.clear()
     run_scenario("example-3-1")
-    assert solved == [(7, "Feasible"), (32, "Infeasible")]
+    assert oracle_results(posed) == [(7, "Feasible"), (32, "Infeasible")]
 
 
 def test_row_updates_write_only_stored_entries(monkeypatch):
     """Work count, no timer: on example-4-1 at grid 101 (55 rows, 62
     columns, about 50 degenerate pivots that each update every row) a row
     update writes fewer than 5 entries on average.  Dense rows would write
-    all 63."""
+    all 63.  The engine decides the system on a subset of its rows, so the
+    full system it poses is solved here."""
     written = []
     eliminate = multipliers._eliminate
 
@@ -429,8 +461,11 @@ def test_row_updates_write_only_stored_entries(monkeypatch):
         written.append(len(row))
         return row
 
-    monkeypatch.setattr(multipliers, "_eliminate", count)
+    posed = engine_systems(monkeypatch)
     corrected_sufficient("example-4-1", 101)
+    monkeypatch.setattr(multipliers, "_eliminate", count)
+    for lfp in posed:
+        solve_feasibility(lfp)
     assert len(written) > 2000
     assert sum(written) / len(written) < 5
 
@@ -439,14 +474,34 @@ def test_row_updates_write_only_stored_entries(monkeypatch):
 def test_engine_systems_take_reference_pivots(name, monkeypatch):
     """The sufficient and necessary checks of a shipped problem, in both
     modes and for both targets at grids 33, 65 and 101, pose long degenerate
-    systems; every one takes the reference's pivots and gets its result."""
-    solved = []
+    systems; every full system takes the reference's pivots and gets its
+    result.  ``_solve_multipliers`` returns exactly what solving and
+    certifying the full system gives, and every system it certifies was
+    the last one it solved, with the full constraint tuple."""
+    solved, posed, last, certified = [], [], [], []
+    solve, certify = multipliers._solve_multipliers, multipliers._certificate
 
-    def compare(lfp):
+    def record(lfp):
+        last.append(lfp)
+        return solve_feasibility(lfp)
+
+    def certify_last(lfp, result, y_dim):
+        assert lfp is last[-1] and lfp.constraints == posed[-1]
+        certified.append(len(lfp.constraints))
+        return certify(lfp, result, y_dim)
+
+    def compare(prefix, rows, y_dim):
+        lfp = multipliers._system(prefix + rows, y_dim)
         solved.append(len(lfp.constraints))
-        return reference_checked(lfp)
+        posed.append(lfp.constraints)
+        result = reference_checked(lfp)
+        full = certify(lfp, result, y_dim) if result.feasible else None
+        assert solve(prefix, rows, y_dim) == full
+        return full
 
-    monkeypatch.setattr(multipliers, "solve_feasibility", compare)
+    monkeypatch.setattr(multipliers, "solve_feasibility", record)
+    monkeypatch.setattr(multipliers, "_certificate", certify_last)
+    monkeypatch.setattr(multipliers, "_solve_multipliers", compare)
     parsed = load_scenario_problem(name)
     U = NeighborhoodSpec(parsed.options.radius)
     for points in (33, 65, 101):
@@ -456,6 +511,82 @@ def test_engine_systems_take_reference_pivots(name, monkeypatch):
                 for target in (multipliers.TARGET_WEAK, multipliers.TARGET_PROPER):
                     check_results(kind, parsed, U, grid, mode=mode, target=target)
     assert max(solved) >= 30
+    assert certified
+
+
+@st.composite
+def split_grid_systems(draw):
+    """A ``grid_systems`` draw as an engine poses it: (prefix, rows, y_dim),
+    with the strict rows ending the prefix (as in the sufficient check) or
+    starting the rows (as in the necessary check's proper branch)."""
+    constraints = list(draw(grid_systems()).constraints)
+    strict = [i for i, c in enumerate(constraints) if c.relation == "gt"]
+    split = draw(st.sampled_from([strict[0], strict[-1] + 1]))
+    y_dim = draw(st.integers(1, len(constraints[0].coeffs) - 1))
+    return constraints[:split], constraints[split:], y_dim
+
+
+@settings(max_examples=100)
+@given(split_grid_systems())
+def test_split_grid_systems_get_the_full_system_certificate(split):
+    """``_solve_multipliers`` returns what solving and certifying the full
+    system gives, on systems of 21-47 engine rows: below the subset gate and
+    above it, feasible and infeasible."""
+    prefix, rows, y_dim = split
+    lfp = multipliers._system(prefix + rows, y_dim)
+    result = solve_feasibility(lfp)
+    full = multipliers._certificate(lfp, result, y_dim) if result.feasible else None
+    assert multipliers._solve_multipliers(prefix, rows, y_dim) == full
+
+
+MIX_00 = Path(__file__).parent / "problems" / "mix-00.problem"
+
+
+def legacy_necessary(capsysbinary, points: int) -> bytes:
+    """The machine report of ``check necessary --mode legacy-gl`` on the
+    2-D corpus problem mix-00 at the given grid."""
+    assert main(["check", "necessary", "--problem", str(MIX_00), "--mode", "legacy-gl",
+                 "--grid", str(points), "--format", "machine"]) == 0
+    return capsysbinary.readouterr().out
+
+
+def test_long_infeasible_systems_are_decided_on_a_few_rows(monkeypatch, capsysbinary):
+    """Work count, no timer: at grid 65 each of mix-00's two legacy
+    necessary LPs has 1,025 rows over 2 unknowns, and both are infeasible.
+    Solved whole they take 1,853 pivots and about 1.9 million row updates;
+    decided on subsets, 13 pivots and 144 updates."""
+    eliminations = 0
+    eliminate = multipliers._eliminate
+
+    def count(*args):
+        nonlocal eliminations
+        eliminations += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(multipliers, "_eliminate", count)
+    report = json.loads(legacy_necessary(capsysbinary, 65))
+    assert report["results"][0]["status"] == "InfeasibleOnGrid"
+    assert eliminations < 10_000
+
+
+def test_subset_decision_keeps_report_bytes(monkeypatch, capsysbinary):
+    """At grid 33 the report is the same byte for byte whether subsets
+    decide mix-00's systems or, with the gate above any row count, the full
+    solves do."""
+    decided = []
+    subset_infeasible = multipliers._subset_infeasible
+
+    def spy(*args):
+        decided.append(subset_infeasible(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(multipliers, "_subset_infeasible", spy)
+    gated = legacy_necessary(capsysbinary, 33)
+    assert True in decided
+    monkeypatch.setattr(multipliers, "SUBSET_ROWS", math.inf)
+    decided.clear()
+    assert legacy_necessary(capsysbinary, 33) == gated
+    assert not decided
 
 
 def test_drive_out_enters_least_stored_column(monkeypatch):
