@@ -17,10 +17,11 @@ and covers the two-dimensional nonnegative-orthant setting this toolkit
 certifies.  "NotCertified" is therefore weaker than "not proper".
 
 Both checks read F and G from the grid's value tables of the certification
-points (`problem.PointTable`) and feasibility from the flags the grid keeps
-(`feasible_positions`), so each objective difference is an int vector over
-one scale and each cone test compares its integer pairings with the normals.
-Only a witness's difference turns back into ``Fraction``s.
+points (`problem.PointTable`), and feasibility from flags that the same
+tables give for H and S (`feasibility`), so each difference is an int vector
+over one scale and each cone test compares its integer pairings with the
+normals.  Only xbar is evaluated directly, and only a witness's difference
+turns back into ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -99,23 +100,33 @@ class ProperMinVerdict:
         return self.status == Status.CERTIFIED_ON_GRID
 
 
-def feasible_positions(problem: DCProblem, grid: GridSpec, positions: Iterable[int]) -> list[int]:
-    """The positions, among the given ones, of the feasible certification
-    points.  Each point is tested by `feasible_contains` the first time a
-    grid is asked about it, and the grid's certification table keeps the
-    flag."""
+def feasibility(problem: DCProblem, grid: GridSpec) -> tuple[list[bool], bool]:
+    """(flags, xbar_ok): the feasibility flag of each certification point, in
+    list order, read from the grid's certification table the first time it
+    is asked about the problem, and kept there.  H(x) - S(x) in -D is tested
+    as a . (s*S_row - h*H_row) >= 0 for each normal a of D, over the lcm of
+    the two scales, and x in C on the points.  `feasible_contains`
+    decides xbar, and the table's flag there must agree (RuntimeError)."""
     table = problem.certification_table(grid)
-    flags = table.flags.setdefault(id(problem), (problem, {}))[1]
-    points = None
-    feasible = []
-    for i in positions:
-        ok = flags.get(i)
-        if ok is None:
-            points = points or problem.certification_points(grid)
-            ok = flags[i] = feasible_contains(problem, points[i])
-        if ok:
-            feasible.append(i)
-    return feasible
+    if id(problem) not in table.flags:
+        H, S = table.values(problem.H), table.values(problem.S)
+        scale = lcm(H.scale, S.scale)
+        h, s = scale // H.scale, scale // S.scale
+        diffs = ([s * v - h * u for u, v in zip(hs, ss)] for hs, ss in zip(H.rows, S.rows))
+        flags = [all(_dot(a, d) >= 0 for a in problem.D.normals) and problem.C.contains(x)
+                 for x, d in zip(problem.certification_points(grid), diffs)]
+        ok = feasible_contains(problem, problem.xbar)
+        key = table.index.extra_keys.get(problem.xbar.coords)
+        if key is not None and flags[table.index.keys.index(key)] != ok:
+            raise RuntimeError(f"table and direct feasibility differ at xbar = {problem.xbar}")
+        table.flags[id(problem)] = (problem, flags, ok)
+    return table.flags[id(problem)][1:]
+
+
+def feasible_positions(problem: DCProblem, grid: GridSpec, positions: Iterable[int]) -> list[int]:
+    """The feasible ones among the given certification positions (`feasibility`)."""
+    flags = feasibility(problem, grid)[0]
+    return [i for i in positions if flags[i]]
 
 
 def _objective_rows(problem: DCProblem, U: NeighborhoodSpec,

@@ -22,9 +22,9 @@ which decodes the points once and holds each map as integers over one
 positive scale at every point, evaluated once per point.  Every engine
 but the convexity scans (`_Lattice`) reads those tables, dissipativity on
 its ball grids, and only this module makes polynomials integer.
-`VectorMap.evaluate` serves only single points (the base point,
-witnesses, library callers) and `feasible_contains`, which
-`pareto.feasible_positions` asks once per certification point.
+`VectorMap.evaluate` serves only single points: the base point (also in
+`feasible_contains`, which cross-checks the table's flags), witnesses and
+library callers.
 """
 
 from __future__ import annotations
@@ -318,8 +318,8 @@ class PointTable:
     override.  The engines compare integer pairings of these rows with the
     cone normals; only witnesses and the LP rows that survive pruning turn
     back into Fractions.  `flags` keeps, per problem whose certification
-    list this is, the feasibility flag of each point tested so far
-    (`pareto.feasible_positions`).
+    list this is, the feasibility flag of every point, in list order, and
+    that of xbar (`pareto.feasibility`).
     Maps and problems are keyed by identity, and each entry keeps its key
     object alive, so no key is reused while the table lives.
     """
@@ -328,7 +328,7 @@ class PointTable:
         self.index = index
         self._maps: dict[int, tuple[VectorMap, _MapTable]] = {}
         self._balls: dict[tuple, list[int]] = {}
-        self.flags: dict[int, tuple[DCProblem, dict[int, bool]]] = {}
+        self.flags: dict[int, tuple[DCProblem, list[bool], bool]] = {}
 
     @cached_property
     def points(self) -> list[RationalVector]:

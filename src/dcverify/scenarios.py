@@ -34,7 +34,7 @@ from .pareto import (
     NeighborhoodSpec,
     check_eps_proper_local_min,
     check_eps_weak_local_min,
-    feasible_positions,
+    feasibility,
 )
 from .problem import (
     BoxSet,
@@ -96,11 +96,10 @@ def _triple_data(witness: tuple) -> dict:
 def omega_result(parsed: ParsedProblem, grid: GridSpec) -> CheckResult:
     problem = parsed.problem
     pts = problem.certification_points(grid)
-    positions = feasible_positions(problem, grid, range(len(pts)))
+    flags, xbar_ok = feasibility(problem, grid)
     # the list is in lexicographic order, so its first and last feasible
     # points are the least and the greatest
-    feasible = [pts[i] for i in positions]
-    xbar_ok = problem.xbar in feasible
+    feasible = [x for x, ok in zip(pts, flags) if ok]
     data = {
         "feasible": str(len(feasible)),
         "total": str(len(pts)),

@@ -6,19 +6,25 @@ the convexlike alternative and the multiplier row builders read integer
 tables of each map on a grid's point list (`problem.PointTable`).  The code
 they replaced is kept below as the oracle: whole verdicts and outcomes,
 ``CheckResult``s and every ``Constraint`` list handed to
-``solve_feasibility`` must be equal.  Work counts pin that a scenario
-evaluates each map at most once per point and asks `feasible_contains` at
-most once per point, and that no check evaluates a map per grid point.
+``solve_feasibility`` must be equal.  The feasibility flags the tables give
+must equal `feasible_contains` at every point, and a corrupted table row at
+xbar must be caught.  Work counts pin that a scenario evaluates each map at
+most once per point and asks `feasible_contains` only at xbar, and that no
+check evaluates a map per grid point.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
+import dataclasses
 import io
 from collections import Counter
 from fractions import Fraction
 from importlib.resources import files
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,8 +52,8 @@ from dcverify.cli import main
 from dcverify.cones import _cleared, _int_primitive, format_rational
 from dcverify.multipliers import AlternativeOutcome, Constraint, _pad, _prefix, _solve_multipliers
 from dcverify.pareto import ProperMinVerdict, WeakMinVerdict
-from dcverify.problem import _MapTable, feasible_contains
-from dcverify.problemfile import ParsedProblem, ScenarioOptions
+from dcverify.problem import PointTable, _MapTable, feasible_contains
+from dcverify.problemfile import ParsedProblem, ScenarioOptions, parse_problem
 from dcverify.report import CheckResult
 from dcverify.scenarios import CHECK_KINDS, _params, check_results, omega_result, run_scenario
 from dcverify.subdiff import SubdiffVerdict
@@ -360,21 +366,107 @@ def test_tables_match_fraction_oracle():
     assert rows > 0 and value_rows > 0
 
 
+# --- feasibility flags -------------------------------------------------------
+
+MIX_00 = Path(__file__).parent / "problems" / "mix-00.problem"
+
+
+def direct_positions(problem, grid):
+    """The positions of the certification points `feasible_contains` accepts."""
+    points = problem.certification_points(grid)
+    return points, [i for i, x in enumerate(points) if feasible_contains(problem, x)]
+
+
+def test_flags_match_feasible_contains():
+    """`feasible_positions` over the whole certification list returns
+    exactly the points `feasible_contains` accepts: on generated problems,
+    some on a grid whose box is strictly wider than C, so that its points
+    outside C must read infeasible; and at grids 5, 33 and 101 on both
+    shipped problems, a 2-D corpus problem and a problem whose H and S
+    tables have different scales."""
+    tags = set()
+
+    @settings(max_examples=80)
+    @given(problems(), st.sampled_from([None, Fraction(1, 3), Fraction(1)]))
+    def differential(case, pad):
+        parsed, grid, *_, case_tags = case
+        problem = parsed.problem
+        if pad is not None:
+            C = problem.C
+            grid = GridSpec(BoxSet(RationalVector(tuple(c - pad for c in C.lower)),
+                                   RationalVector(tuple(c + pad for c in C.upper))),
+                            grid.points_per_axis)
+            tags.add("grid wider than C")
+        points, expected = direct_positions(problem, grid)
+        positions = pareto.feasible_positions(problem, grid, range(len(points)))
+        assert positions == expected
+        assert all(problem.C.contains(points[i]) for i in positions)
+        if any(problem.C.contains(x) for i, x in enumerate(points) if i not in positions):
+            tags.add("infeasible point")
+        tags.update(case_tags & {"exception at xbar"})
+
+    differential()
+    assert tags == {"grid wider than C", "infeasible point", "exception at xbar"}
+    shipped = [scenarios.load_scenario_problem(name).problem for name in scenarios.scenario_names()]
+    mix = parse_problem(MIX_00.read_text(encoding="utf-8")).problem
+    # H and S on different table scales: feasible exactly where x <= 2/3
+    scaled = dataclasses.replace(shipped[1], H=VectorMap.from_coeffs(1, 1, [[((1,), "1/2")]]),
+                                 S=VectorMap.from_coeffs(1, 1, [[((0,), "1/3")]]))
+    for problem in (*shipped, mix, scaled):
+        for n in (5, 33, 101):
+            grid = GridSpec(problem.C, n)
+            points, expected = direct_positions(problem, grid)
+            assert pareto.feasible_positions(problem, grid, range(len(points))) == expected
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_corrupt_table_row_at_xbar_raises(monkeypatch, swap):
+    """With S's table row at xbar corrupted so that the table's flag there
+    flips, `feasible_positions` raises RuntimeError and keeps no flags: on
+    example-4-1, where xbar is feasible, and with H and S swapped, where it
+    is not."""
+    problem = scenarios.load_scenario_problem("example-4-1").problem
+    if swap:
+        problem = dataclasses.replace(problem, H=problem.S, S=problem.H)
+    grid = GridSpec(problem.C, 33)
+    values = PointTable.values
+
+    def corrupt(table, vmap):
+        rows = values(table, vmap)
+        if vmap is not problem.S:
+            return rows
+        bad = copy.copy(rows)
+        at = table.points.index(problem.xbar)
+        shift = 10 ** 6 if swap else -10 ** 6
+        bad.rows = [tuple(v + shift for v in row) if i == at else row
+                    for i, row in enumerate(rows.rows)]
+        return bad
+
+    assert feasible_contains(problem, problem.xbar) is not swap
+    monkeypatch.setattr(PointTable, "values", corrupt)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="xbar"):
+            pareto.feasible_positions(problem, grid, range(33))
+    assert not problem.certification_table(grid).flags
+
+
 # --- work counts -------------------------------------------------------------
 
 
 def test_scenario_evaluates_each_map_once_per_point(monkeypatch):
     """In a whole scenario, each map is tabulated once per point list and
     evaluated directly at most once per point of it; `feasible_contains`
-    runs once per certification point; and `VectorMap.evaluate` is called
-    outside it only at xbar."""
+    runs once, at xbar; and `VectorMap.evaluate` is called outside it only
+    at xbar."""
     for name in ("example-3-1", "example-4-1"):
         builds, direct, feasible, outside = Counter(), Counter(), Counter(), Counter()
         build, poly_at, evaluate = _MapTable.__init__, _MapTable._poly_at, VectorMap.evaluate
-        inside = []
+        inside, degrees = [], {}
 
         def spy_build(self, vmap, index):
             builds[id(vmap), id(index)] += 1
+            degrees[id(self)] = max((e for monos in vmap.coords for exponents, _ in monos
+                                     for e in exponents), default=0)
             build(self, vmap, index)
 
         def spy_poly_at(self, key):
@@ -401,13 +493,14 @@ def test_scenario_evaluates_each_map_once_per_point(monkeypatch):
             m.setattr(VectorMap, "evaluate", spy_evaluate)
             run_scenario(name)
         parsed = scenarios.load_scenario_problem(name)
-        points = parsed.problem.certification_points(GridSpec(parsed.problem.C, 101))
         assert builds and max(builds.values()) == 1
         assert direct and max(direct.values()) == 1
-        # the shipped maps lie on a line: a degree-d map is evaluated
-        # directly at d + 1 keys, not at each of the 101 points
-        assert len(direct) <= 4 * 5
-        assert feasible == Counter(points)
+        # the shipped maps lie on a line: each table of a degree-d map
+        # evaluates directly at most d + 1 keys, not each of the 101 points
+        keys = Counter(table for table, _ in direct)
+        assert all(count <= degrees[table] + 1 for table, count in keys.items())
+        assert len(direct) <= sum(degree + 1 for degree in degrees.values())
+        assert feasible == Counter({parsed.problem.xbar: 1})
         assert set(outside) == {parsed.problem.xbar}
 
 
