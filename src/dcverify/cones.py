@@ -173,10 +173,11 @@ def _int_primitive(row: Sequence[int]) -> IntRow:
     return tuple(v // g for v in row) if g > 1 else tuple(row)
 
 
-def _cleared(coords: Sequence[Fraction]) -> list[int]:
-    """The coordinates times the lcm of their denominators, as ints."""
-    q = lcm(*(c.denominator for c in coords))
-    return [c.numerator * (q // c.denominator) for c in coords]
+def _cleared(values: Sequence[Fraction], *dens: int) -> tuple[int, list[int]]:
+    """(d, ints): d > 0 the lcm of the values' denominators and of dens,
+    and each value times d, as an int."""
+    d = lcm(*(v.denominator for v in values), *dens)
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -345,7 +346,7 @@ class PolyhedralCone:
                 raise DimensionMismatchError("generators of mixed dimension")
             if g.is_zero():
                 raise ConeError("zero vector is not allowed as a generator")
-        gen_rows = sorted({_int_primitive(_cleared(g.coords)) for g in gens})
+        gen_rows = sorted({_int_primitive(_cleared(g.coords)[1]) for g in gens})
         # halfspaces of the cone = canonical V-form of its dual
         dual_lin, dual_reps = _vform_of_hcone(gen_rows, dim)
         halfspace_rows = _rows(dual_lin, dual_reps)
@@ -367,7 +368,7 @@ class PolyhedralCone:
             raise ConeError(f"ambient dimension {d} exceeds supported maximum {MAX_CONE_DIM}")
         if any(r.dim != d for r in rows):
             raise DimensionMismatchError(f"halfspace normals must have dimension {d}")
-        int_rows = sorted({_int_primitive(_cleared(r.coords)) for r in rows if not r.is_zero()})
+        int_rows = sorted({_int_primitive(_cleared(r.coords)[1]) for r in rows if not r.is_zero()})
         # canonical generators = canonical V-form of the given halfspaces
         lin, reps = _vform_of_hcone(int_rows, d)
         canon_rows = _rows(lin, reps)
@@ -396,7 +397,7 @@ class PolyhedralCone:
     def contains(self, v: RationalVector, strict: bool = False) -> bool:
         if v.dim != self.dim:
             raise DimensionMismatchError(f"vector dim {v.dim} vs cone dim {self.dim}")
-        x = _cleared(v.coords)
+        x = _cleared(v.coords)[1]
         if strict:
             return all(_dot(a, x) > 0 for a in self.interior_normals())
         return all(_dot(a, x) >= 0 for a in self.normals)

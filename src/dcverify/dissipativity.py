@@ -22,11 +22,11 @@ polynomial map, which the ball grid's `PointTable` holds as integers at
 every point, as it holds any map (a 1-D ball grid by differences).
 Exceptional points keep their override operators, laid out alike.  Each
 point gets one row the first time a scan reaches it: its layout paired with
-x - xbar, an int vector up to a positive factor, gives every pair's
+its offset c * (x - xbar) (`PointTable.offsets`) gives every pair's
 pairings <a, (T - T*)(x - xbar)> / d(x, xbar) as integers over one
 positive scale.  Since a pair satisfies the inequality at x exactly when
 each of its pairings is at most <a, eps>, an eps sample is tested by
-integer comparisons alone.  A scan walks the index's packed keys in
+integer comparisons alone.  A scan walks the table's positions in
 lexicographic point order and decodes only the first violator.
 """
 
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import lcm
 from operator import mul
 from typing import Callable, Sequence
 
@@ -44,6 +43,7 @@ from .cones import (
     DimensionMismatchError,
     PolyhedralCone,
     RationalVector,
+    _cleared,
     as_fraction,
     cone_contains,
 )
@@ -223,9 +223,7 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
         """(E, row): E * the layout of `relative` at a point whose
         operators are ops, as ints, with E > 0."""
         at_x = [functionals(T) for T in ops]
-        values = [t - u for tx in at_x for at_base in base for t, u in zip(tx, at_base)]
-        scale = lcm(*(v.denominator for v in values))
-        return scale, [v.numerator * (scale // v.denominator) for v in values]
+        return _cleared([t - u for tx in at_x for at_base in base for t, u in zip(tx, at_base)])
 
     def pairings(table: PointTable) -> Callable[[int], list[tuple[int, tuple[int, ...]]] | None]:
         """The row of the point at each position of one ball grid's table,
@@ -233,31 +231,25 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
         (D, pairs) per (T, T*) pair, where pairs holds D * <a, (T -
         T*)(x - xbar)> / d(x, xbar) for each normal a, as ints, with D > 0.
         None at xbar, where every pair satisfies every eps."""
-        index = table.index
-        # x - xbar along axis d is (K_d - Kbar_d) * unit_d / den_d; over the
-        # lcm of the dens it is an int vector, a positive multiple of the
-        # step, and the pairings and the distance scale alike, so their
-        # ratio is unchanged
-        common = lcm(*index.dens)
-        weights = [unit * (common // den) for (_, unit, *_), den in zip(index.axes, index.dens)]
-        kbar = index.digits(index.extra_keys[xbar.coords])
+        # x - xbar times a positive factor, as ints: the pairings and the
+        # distance scale alike, so their ratio is unchanged
+        steps = table.offsets(xbar)[1]
         # the first override listed at a point wins, as in `operators_at`
-        overrides = {index.extra_keys[p.coords]: ops for p, ops in reversed(field.exceptions)
-                     if p.coords in index.extra_keys}
+        overrides = {at: ops for p, ops in reversed(field.exceptions)
+                     if (at := table.position(p)) is not None}
         n = len(normals)
 
         def row(k: int) -> list[tuple[int, tuple[int, ...]]] | None:
-            step = [(kx - kb) * w for kx, kb, w in zip(table.ks[k], kbar, weights)]
+            step = steps[k]
             d = max(map(abs, step))
             if d == 0:
                 return None
-            ops = overrides.get(index.keys[k])
+            ops = overrides.get(k)
             if ops is not None:
                 count = len(ops)
                 scale, ys = overridden(ops)
             elif not field.formulas:
-                x = index.decode([index.keys[k]])[0]
-                raise ValueError(f"operator field has no operator at {x}")
+                raise ValueError(f"operator field has no operator at {table.point(k)}")
             else:
                 count, scale, ys = len(field.formulas), 1, []
                 rel = relative()
@@ -269,16 +261,16 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
 
         return row
 
-    tables: dict[Fraction, tuple] = {}  # radius: (index, row, rows so far)
+    tables: dict[Fraction, tuple] = {}  # radius: (table, row, rows so far)
 
     def violator(bounds: list[int], den: int, radius: Fraction) -> RationalVector | None:
         """The first point in lexicographic order with no pair satisfying
         eps, given as <a, eps> = bounds[a] / den; only it is decoded."""
         if radius not in tables:
             table = template.ball(xbar, radius).table(extra)
-            tables[radius] = (table.index, pairings(table), [])
-        index, row, rows = tables[radius]
-        for k, key in enumerate(index.keys):
+            tables[radius] = (table, pairings(table), [])
+        table, row, rows = tables[radius]
+        for k in range(len(table)):
             if k == len(rows):
                 rows.append(row(k))
             pairs = rows[k]
@@ -291,14 +283,13 @@ def check_approx_pseudo_dissipative(field: OperatorField, xbar: RationalVector,
                 else:
                     break  # this pair satisfies eps at x
             else:
-                return index.decode([key])[0]
+                return table.point(k)
         return None
 
     evidence: list[EpsEvidence] = []
     for eps in eps_samples:
         pairing = [sum(c * eps[i] for i, c in a) for a in normals]
-        den = lcm(*(e.denominator for e in pairing))
-        bounds = [e.numerator * (den // e.denominator) for e in pairing]
+        den, bounds = _cleared(pairing)
         trials: list[RadiusTrial] = []
         for radius in radii:
             trials.append(RadiusTrial(radius, violator(bounds, den, radius)))

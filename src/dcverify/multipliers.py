@@ -59,6 +59,7 @@ from typing import Iterable, Iterator, Sequence
 from .cones import (
     PolyhedralCone,
     RationalVector,
+    _cleared,
     _dot,
     _int_primitive,
     as_fraction,
@@ -260,17 +261,17 @@ def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
     tableau: list[dict[int, int]] = []
     dens: list[int] = []
     for c in lfp.constraints:
-        den = math.lcm(c.rhs.denominator, *(v.denominator for v in c.coeffs))
-        scale = -den if c.rhs < 0 else den
-        row = {k: v.numerator * (scale // v.denominator) for k, v in enumerate(c.coeffs) if v}
+        den, (*coeffs, rhs) = _cleared((*c.coeffs, c.rhs))
+        sign = -1 if rhs < 0 else 1
+        row = {k: sign * v for k, v in enumerate(coeffs) if v}
         row.update({nvars + k: -v for k, v in row.items()})
         if c.relation != "eq":
             if c.relation == "gt":
-                row[t_col] = -scale
-            row[ncols] = -scale
+                row[t_col] = -sign * den
+            row[ncols] = -sign * den
             ncols += 1
-        if c.rhs:
-            row[-1] = c.rhs.numerator * (scale // c.rhs.denominator)
+        if rhs:
+            row[-1] = abs(rhs)
         tableau.append(row)
         dens.append(den)
     if has_strict:
@@ -367,12 +368,10 @@ def _int_residuals(constraints: Iterable[Constraint],
     """(num, den) per constraint with value - rhs = num / den: with the
     assignment over one common denominator d and a row's coefficients and
     rhs over their own e, den = e * d > 0, so num has the residual's sign."""
-    d = math.lcm(*(v.denominator for v in assignment))
-    nums = [v.numerator * (d // v.denominator) for v in assignment]
+    d, nums = _cleared(assignment)
     for c in constraints:
-        e = math.lcm(c.rhs.denominator, *(v.denominator for v in c.coeffs))
-        yield (sum(v.numerator * (e // v.denominator) * n for v, n in zip(c.coeffs, nums) if v)
-               - c.rhs.numerator * (e // c.rhs.denominator) * d, e * d)
+        e, (*coeffs, rhs) = _cleared((*c.coeffs, c.rhs))
+        yield sum(v * n for v, n in zip(coeffs, nums) if v) - rhs * d, e * d
 
 
 def _certificate(lfp: LinearFeasibilityProblem, result: FeasibilityResult,
@@ -500,6 +499,7 @@ def _ystar_strict_rows(K: PolyhedralCone, D: PolyhedralCone, target: str) -> lis
     """Nonzero / strict-polar side conditions on ystar via the shared slack."""
     y_dim, z_dim = K.dim, D.dim
     if target == TARGET_WEAK:
+        K.interior_normals()  # the row below needs an interior point of K: refuse a K without one
         return [Constraint(_pad(K.interior_point(), None, y_dim, z_dim), "gt",
                            Fraction(0), "ystar-nonzero")]
     if target == TARGET_PROPER:

@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .cones import PolyhedralCone, RationalVector, _dot, as_fraction, nonnegative_orthant
+from .cones import PolyhedralCone, RationalVector, _cleared, _dot, as_fraction, nonnegative_orthant
 from .problem import DCProblem, GridSpec, feasible_contains
 from .report import Status
 
@@ -116,17 +116,11 @@ def feasibility(problem: DCProblem, grid: GridSpec) -> tuple[list[bool], bool]:
         flags = [all(_dot(a, d) >= 0 for a in problem.D.normals) and problem.C.contains(x)
                  for x, d in zip(problem.certification_points(grid), diffs)]
         ok = feasible_contains(problem, problem.xbar)
-        key = table.index.extra_keys.get(problem.xbar.coords)
-        if key is not None and flags[table.index.keys.index(key)] != ok:
+        at = table.position(problem.xbar)
+        if at is not None and flags[at] != ok:
             raise RuntimeError(f"table and direct feasibility differ at xbar = {problem.xbar}")
         table.flags[id(problem)] = (problem, flags, ok)
     return table.flags[id(problem)][1:]
-
-
-def feasible_positions(problem: DCProblem, grid: GridSpec, positions: Iterable[int]) -> list[int]:
-    """The feasible ones among the given certification positions (`feasibility`)."""
-    flags = feasibility(problem, grid)[0]
-    return [i for i in positions if flags[i]]
 
 
 def _objective_rows(problem: DCProblem, U: NeighborhoodSpec,
@@ -136,11 +130,11 @@ def _objective_rows(problem: DCProblem, U: NeighborhoodSpec,
     as ints, read from the grid's tables; M > 0 is one common scale."""
     table = problem.certification_table(grid)
     F, G = table.values(problem.F), table.values(problem.G)
-    shift = problem.eps - problem.objective(problem.xbar)
-    scale = lcm(F.scale, G.scale, *(c.denominator for c in shift))
+    scale, offsets = _cleared((problem.eps - problem.objective(problem.xbar)).coords,
+                              F.scale, G.scale)
     f, g = scale // F.scale, scale // G.scale
-    offsets = [c.numerator * (scale // c.denominator) for c in shift]
-    local = feasible_positions(problem, grid, table.within(problem.xbar, U.radius))
+    flags = feasibility(problem, grid)[0]
+    local = [i for i in table.within(problem.xbar, U.radius) if flags[i]]
     return scale, ((i, [f * a - g * b + c for a, b, c in zip(F.rows[i], G.rows[i], offsets)])
                    for i in local)
 

@@ -20,8 +20,9 @@ A `GridSpec` keeps, for as long as it lives, what its points determine:
 each point list as its integer lattice index, and the list's `PointTable`,
 which decodes the points once and holds each map as integers over one
 positive scale at every point, evaluated once per point.  Every engine
-but the convexity scans (`_Lattice`) reads those tables, dissipativity on
-its ball grids, and only this module makes polynomials integer.
+but the convexity scans (`_Lattice`) reads those tables by position, never
+by packed key, dissipativity on its ball grids; only this module makes
+polynomials integer.
 `VectorMap.evaluate` serves only single points: the base point (also in
 `feasible_contains`, which cross-checks the table's flags), witnesses and
 library callers.
@@ -30,10 +31,11 @@ library callers.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm, prod
+from math import floor, gcd, lcm, prod
 from operator import and_, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -41,6 +43,7 @@ from .cones import (
     DimensionMismatchError,
     PolyhedralCone,
     RationalVector,
+    _cleared,
     as_fraction,
     cone_contains,
 )
@@ -194,23 +197,20 @@ class BoxSet:
 
 class _LatticeIndex(NamedTuple):
     """Integer index of one point list of a grid on the lattice q times
-    finer than its coarse lattice; see `GridSpec.lattice`."""
+    finer than its coarse lattice; see `GridSpec.lattice`.  Outside this
+    module a list is read through its `PointTable`."""
 
     # packed coarse key per point, ascending, so in lexicographic point
     # order; point a sits at fine key q*keys[a]
     keys: list[int]
-    # fine-lattice coordinate x_d = (base_d + K_d*unit_d) / den_d, with K
-    # the `digits` of the fine key; one (base, unit, stride, radix) per axis
+    # fine-lattice coordinate x_d = (base_d + K_d*unit_d) / den_d with the
+    # digit K_d = key // stride % radix; one (base, unit, stride, radix) per
+    # axis.  `decode`, `PointTable.offsets` and `_LatticeMap._poly_at`
+    # inline the digit, so a change to the packing changes all three
     axes: list[tuple[int, int, int, int]]
     dens: list[int]
     # packed coarse key of each extra point in the box
     extra_keys: dict[tuple[Fraction, ...], int]
-
-    def digits(self, key: int) -> tuple[int, ...]:
-        """The fine index vector K of a packed fine key.  `decode` (2.4x)
-        and `_LatticeMap._poly_at` (1.5%) run faster inlining it than calling
-        it, so a change to the packing changes all three."""
-        return tuple(key // stride % radix for *_, stride, radix in self.axes)
 
     def decode(self, keys: Sequence[int]) -> list[RationalVector]:
         """The points at packed fine keys, one Fraction per distinct coordinate."""
@@ -243,7 +243,7 @@ class _LatticeMap:
         return tuple(ys)
 
     def _poly_at(self, key: int) -> list[int]:
-        """scale * map(x) by the polynomial at a fine key; see `digits`."""
+        """scale * map(x) by the polynomial at a fine key; see `axes`."""
         return _int_eval(self._polys, [base + key // stride % radix * unit
                                        for base, unit, stride, radix in self._axes])
 
@@ -309,17 +309,19 @@ class _MapTable(_LatticeMap):
 class PointTable:
     """One point list of a grid and its integer value tables.
 
-    The tables sit on the list's lattice index for q = 1, so the point at
-    position i is x_d = (base_d + K_d*unit_d) / den_d with K = `ks[i]`;
-    `points` decodes the whole list the first time it is asked for.
-    `values(vmap)` holds scale * vmap(x) as ints at every point, one
-    positive scale per map, computed the first time a map is asked for:
-    each map is evaluated at most once per point, and exceptional values
-    override.  The engines compare integer pairings of these rows with the
-    cone normals; only witnesses and the LP rows that survive pruning turn
-    back into Fractions.  `flags` keeps, per problem whose certification
-    list this is, the feasibility flag of every point, in list order, and
-    that of xbar (`pareto.feasibility`).
+    The table owns the list's lattice index for q = 1 and hides its packed
+    keys behind positions 0 .. len - 1, in list order.  `points` decodes
+    the whole list the first time it is asked for, `point(i)` one point,
+    and `position` finds a listed extra point.  `offsets(center)` holds
+    c * (x - center) as ints at every point, once per center, for `within`
+    and `affine`.  `values(vmap)` holds scale * vmap(x) as ints at every
+    point, one positive scale per map, computed the first time a map is
+    asked for: each map is evaluated at most once per point, and
+    exceptional values override.  The engines compare integer pairings of
+    these rows with the cone normals; only witnesses and the LP rows that
+    survive pruning turn back into Fractions.  `flags` keeps, per problem
+    whose certification list this is, the feasibility flag of every point,
+    in list order, and that of xbar (`pareto.feasibility`).
     Maps and problems are keyed by identity, and each entry keeps its key
     object alive, so no key is reused while the table lives.
     """
@@ -327,16 +329,42 @@ class PointTable:
     def __init__(self, index: _LatticeIndex) -> None:
         self.index = index
         self._maps: dict[int, tuple[VectorMap, _MapTable]] = {}
-        self._balls: dict[tuple, list[int]] = {}
+        self._offsets: dict[tuple[Fraction, ...], tuple[int, list[tuple[int, ...]]]] = {}
         self.flags: dict[int, tuple[DCProblem, list[bool], bool]] = {}
+
+    def __len__(self) -> int:
+        return len(self.index.keys)
 
     @cached_property
     def points(self) -> list[RationalVector]:
         return self.index.decode(self.index.keys)
 
-    @cached_property
-    def ks(self) -> list[tuple[int, ...]]:
-        return list(map(self.index.digits, self.index.keys))
+    def point(self, i: int) -> RationalVector:
+        """The point at position i, decoded alone."""
+        return self.index.decode([self.index.keys[i]])[0]
+
+    def position(self, x: RationalVector) -> int | None:
+        """The position of a listed extra point (xbar or an exceptional
+        point in the box), or None."""
+        key = self.index.extra_keys.get(x.coords)
+        return None if key is None else bisect_left(self.index.keys, key)
+
+    def offsets(self, center: RationalVector) -> tuple[int, list[tuple[int, ...]]]:
+        """(c, rows): c * (x - center) as ints for the point x at each
+        position, with c > 0 the lcm of the axes' dens and the center's own
+        denominators, so the center may lie off the lattice or outside the
+        box.  Computed once per center."""
+        hit = self._offsets.get(center.coords)
+        if hit is None:
+            keys, dens = self.index.keys, self.index.dens
+            c, at = _cleared(center.coords, *dens)
+            columns = []
+            for (base, unit, stride, radix), den, a in zip(self.index.axes, dens, at):
+                ks = [key // stride % radix for key in keys]
+                values = {k: (base + k * unit) * (c // den) - a for k in set(ks)}
+                columns.append(map(values.__getitem__, ks))
+            hit = self._offsets[center.coords] = (c, list(zip(*columns)))
+        return hit
 
     def values(self, vmap: VectorMap) -> _MapTable:
         hit = self._maps.get(id(vmap))
@@ -347,23 +375,12 @@ class PointTable:
             hit = self._maps[id(vmap)] = (vmap, _MapTable(vmap, self.index))
         return hit[1]
 
-    def _frame(self) -> tuple[list[Fraction], list[Fraction]]:
-        """(lo, h): x_d = lo_d + K_d*h_d."""
-        axes = list(zip(self.index.axes, self.index.dens))
-        return ([Fraction(base, den) for (base, *_), den in axes],
-                [Fraction(unit, den) for (_, unit, *_), den in axes])
-
     def within(self, center: RationalVector, radius: Fraction) -> list[int]:
         """The positions of the points x with max-norm |x - center| <=
-        radius, computed once per (center, radius)."""
-        hit = self._balls.get((center.coords, radius))
-        if hit is None:
-            bounds = [(ceil((c - radius - lo) / h), floor((c + radius - lo) / h))
-                      for c, lo, h in zip(center, *self._frame())]
-            hit = self._balls[center.coords, radius] = [
-                i for i, ks in enumerate(self.ks)
-                if all(a <= k <= b for k, (a, b) in zip(ks, bounds))]
-        return hit
+        radius: an integer bound on their offsets."""
+        c, rows = self.offsets(center)
+        bound = floor(radius * c)
+        return [i for i, row in enumerate(rows) if max(map(abs, row)) <= bound]
 
     def affine(self, vmap: VectorMap, base: RationalVector, matrix: Sequence[Sequence[Fraction]],
                shift: RationalVector, center: RationalVector,
@@ -372,24 +389,22 @@ class PointTable:
         lazily, for the point x at each position, with A the matrix, base
         the value vmap(center) and M > 0 the least common scale.
 
-        With x_d = lo_d + K_d*h_d each entry is (M/scale) * table value -
-        sum_d M*A_rd*h_d * K_d + a constant, all integers.
+        With the offsets o = c * (x - center) each entry is (M/scale) *
+        table value - sum_d (M*A_rd/c) * o_d + M*(shift_r - base_r), all
+        integers.
         """
         table = self.values(vmap)
         if len(matrix) != vmap.out_dim or any(len(row) != vmap.in_dim for row in matrix):
             raise DimensionMismatchError("operator shape does not match the map")
-        los, hs = self._frame()
-        consts = [s - b - sum((a * (lo - c) for a, lo, c in zip(row, los, center)), Fraction(0))
-                  for row, b, s in zip(matrix, base, shift)]
-        slopes = [[a * h for a, h in zip(row, hs)] for row in matrix]
-        scale = lcm(table.scale, *(c.denominator for c in consts),
-                    *(g.denominator for row in slopes for g in row))
+        c, offsets = self.offsets(center)
+        m, n = vmap.out_dim, vmap.in_dim
+        scale, ints = _cleared([s - b for b, s in zip(base, shift)]
+                               + [Fraction(a, c) for row in matrix for a in row], table.scale)
         f = scale // table.scale
-        ints = [[g.numerator * (scale // g.denominator) for g in row] for row in slopes]
-        offsets = [c.numerator * (scale // c.denominator) for c in consts]
-        rows, ks = table.rows, self.ks
-        return scale, ([f * y - sum(map(mul, coeffs, ks[i])) + c
-                        for y, coeffs, c in zip(rows[i], ints, offsets)] for i in positions)
+        consts, slopes = ints[:m], [ints[at:at + n] for at in range(m, len(ints), n)]
+        rows = table.rows
+        return scale, ([f * y - sum(map(mul, coeffs, offsets[i])) + k
+                        for y, coeffs, k in zip(rows[i], slopes, consts)] for i in positions)
 
 
 @dataclass(frozen=True)
@@ -423,9 +438,8 @@ class GridSpec:
         unit is 0 when the box is flat along the axis."""
         lo = self.box.lower[axis]
         step = (self.box.upper[axis] - lo) / (self.points_per_axis - 1)
-        den = lcm(lo.denominator, step.denominator)
-        return (lo.numerator * (den // lo.denominator),
-                step.numerator * (den // step.denominator), den)
+        den, (base, unit) = _cleared((lo, step))
+        return base, unit, den
 
     def axis_points(self, axis: int) -> list[Fraction]:
         base, unit, den = self._axis(axis)
@@ -507,10 +521,8 @@ class GridSpec:
                       for c in inside}
         axes, dens = [], []
         for lo, h, stride, radix in zip(lower, coarse, strides, radices):
-            fine = h / q
-            den = lcm(lo.denominator, fine.denominator)
-            axes.append((lo.numerator * (den // lo.denominator),
-                         fine.numerator * (den // fine.denominator), stride, radix))
+            den, (base, unit) = _cleared((lo, h / q))
+            axes.append((base, unit, stride, radix))
             dens.append(den)
         return _LatticeIndex(sorted({*keys, *extra_keys.values()}), axes, dens, extra_keys)
 

@@ -260,8 +260,9 @@ def _parse_operator(text: str, line: int, out_dim: int, in_dim: int) -> LinearOp
 
 def parse_problem(text: str) -> ParsedProblem:
     """Parse a problem file; syntax errors carry line numbers and semantic
-    errors name the violated invariant."""
-    sections = _split_sections(text)
+    errors name the violated invariant.  One leading byte-order mark
+    (U+FEFF, which some editors write) is dropped."""
+    sections = _split_sections(text.removeprefix("\ufeff"))
     x_dim, y_dim, z_dim = _parse_spaces(sections["spaces"])
     K = _parse_cone(sections["cone K"], y_dim, "K")
     D = _parse_cone(sections["cone D"], z_dim, "D")

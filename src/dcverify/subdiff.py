@@ -107,11 +107,10 @@ def eps_subdiff_contains(vmap: VectorMap, cone: PolyhedralCone, xbar: RationalVe
     if T.out_dim != vmap.out_dim or T.in_dim != vmap.in_dim:
         raise DimensionMismatchError("operator shape does not match the map")
     table = grid.table(vmap.exception_points() + [xbar])
-    keys = table.index.keys
-    _, rows = table.affine(vmap, vmap.evaluate(xbar), T.matrix, eps, xbar, range(len(keys)))
-    for key, diff in zip(keys, rows):
+    _, rows = table.affine(vmap, vmap.evaluate(xbar), T.matrix, eps, xbar, range(len(table)))
+    for i, diff in enumerate(rows):
         if any(_dot(a, diff) < 0 for a in cone.normals):
-            return SubdiffVerdict(Status.FALSIFIED, table.index.decode([key])[0])
+            return SubdiffVerdict(Status.FALSIFIED, table.point(i))
     return SubdiffVerdict(Status.CERTIFIED_ON_GRID, None)
 
 

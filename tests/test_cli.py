@@ -87,6 +87,18 @@ class TestCheckCommands:
         payload = json.loads(out)
         assert payload["options"]["radius"] == "1/4"
 
+    def test_byte_order_mark_gives_the_same_report(self, capsysbinary, tmp_path):
+        text = files("dcverify").joinpath("problems", "example_3_1.problem").read_text("utf-8")
+        path = tmp_path / "instance.problem"
+        reports = []
+        for prefix in ("", "\ufeff"):
+            path.write_text(prefix + text, encoding="utf-8")
+            reports.append(run_main(capsysbinary, [
+                "check", "weak-min", "--problem", str(path), "--grid", "21",
+                "--format", "machine"]))
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert reports[0] == reports[1]
+
     def test_proper_min_requires_supported_space(self, capsys, problem_path):
         assert main(["check", "proper-min", "--problem", str(problem_path),
                      "--grid", "11"]) == 1

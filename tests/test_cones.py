@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dcverify import (
     ConeError,
@@ -18,7 +20,8 @@ from dcverify import (
     parse_problem,
     parse_rational,
 )
-from conftest import random_cone
+from dcverify.cones import _cleared
+from conftest import random_cone, rationals
 
 V = RationalVector.of
 
@@ -286,3 +289,19 @@ class TestRationalParsing:
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_rational("3/0")
+
+
+@given(st.lists(rationals(-20, 20, max_denominator=12), max_size=5),
+       st.lists(st.integers(1, 12), max_size=3))
+def test_cleared_is_the_least_clearing_scale(values, dens):
+    """`_cleared(values, *dens)` gives d > 0, a multiple of every one of
+    dens, and each value times d as an int; no smaller d does both, since
+    d / p fails for every prime p dividing d."""
+    d, ints = _cleared(values, *dens)
+    assert d > 0 and all(d % e == 0 for e in dens)
+    assert len(ints) == len(values)
+    assert all(type(n) is int and n == v * d for n, v in zip(ints, values))
+    primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % r for r in range(2, p))]
+    for p in primes:
+        e = d // p
+        assert any(e % den for den in dens) or any((v * e).denominator != 1 for v in values)

@@ -23,6 +23,7 @@ from dcverify import (
     BoxSet,
     DimensionMismatchError,
     GridSpec,
+    NeighborhoodSpec,
     PolyhedralCone,
     RationalVector,
     VectorMap,
@@ -435,6 +436,68 @@ def test_convexity_scans_share_the_grid_index(name, builds, monkeypatch):
     results, _ = convexity_results(parsed, GridSpec(parsed.problem.C, 101))
     assert len(results) == 6
     assert len(built) == builds == len(set(built))
+
+
+# --- the point table's frame --------------------------------------------------
+
+
+@st.composite
+def framed(draw):
+    """A grid from `boxes` with its extra points, a center and a positive
+    radius.  The center is a listed extra point, a listed grid point, or any
+    rational point, which may lie off the lattice or outside the box."""
+    grid, extra, _ = draw(boxes())
+    listed = [p for p in extra if grid.box.contains(p)]
+    kind = draw(st.sampled_from(["extra", "grid", "any"] if listed else ["grid", "any"]))
+    if kind == "extra":
+        center = draw(st.sampled_from(listed))
+    elif kind == "grid":
+        center = draw(st.sampled_from(grid.points(extra=extra)))
+    else:
+        center = RationalVector(tuple(draw(rationals(-4, 4, max_denominator=7))
+                                      for _ in range(grid.box.dim)))
+    radius = draw(rationals(0, 2, max_denominator=6).filter(bool))
+    return grid, extra, kind, center, radius
+
+
+def test_point_table_frame_matches_fractions():
+    """`offsets`, `within`, `position`, `point` and `len` of a grid's
+    table against the decoded points in ``Fraction``s: offsets are
+    c * (x - center) as ints with c > 0, `within` keeps exactly the points
+    `NeighborhoodSpec.contains` keeps, in list order, and each listed
+    extra point sits at its list position."""
+    tags = set()
+
+    @SETTINGS
+    @given(framed())
+    def differential(case):
+        grid, extra, kind, center, radius = case
+        table = grid.table(extra)
+        points = grid.points(extra=extra)
+        c, rows = table.offsets(center)
+        assert c > 0 and all(type(v) is int for row in rows for v in row)
+        assert rows == [tuple(c * (xi - ci) for xi, ci in zip(x, center)) for x in points]
+        assert table.offsets(center) == (c, rows)
+        U = NeighborhoodSpec(radius)
+        assert table.within(center, radius) == [i for i, x in enumerate(points)
+                                                if U.contains(x, center)]
+        assert len(table) == len(points)
+        assert [table.point(i) for i in range(len(table))] == points
+        for p in extra:
+            assert table.position(p) == (points.index(p) if grid.box.contains(p) else None)
+        assert all(table.position(x) is None for x in points if x not in extra)
+        box = grid.box
+        tags.update({kind, f"{box.dim}-D"})
+        if any(lo == hi for lo, hi in zip(box.lower, box.upper)):
+            tags.add("flat axis")
+        if center not in points:
+            tags.add("off the list")
+        if not box.contains(center):
+            tags.add("outside the box")
+
+    differential()
+    assert tags == {"extra", "grid", "any", "1-D", "2-D", "3-D", "flat axis", "off the list",
+                    "outside the box"}
 
 
 # --- the line's difference table -------------------------------------------

@@ -1,6 +1,5 @@
 """Feasibility core and the four theorem engines."""
 
-import math
 from collections import Counter
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dcverify.multipliers as multipliers
 from dcverify import (
     BoxSet,
     Constraint,
@@ -15,6 +15,7 @@ from dcverify import (
     DCProblem,
     DimensionMismatchError,
     GridSpec,
+    InteriorEmptyError,
     LinearFeasibilityProblem,
     LinearOperator,
     NeighborhoodSpec,
@@ -178,12 +179,6 @@ class TestAlternativeSystem:
 SMALL = rationals(-3, 3, max_denominator=4)
 
 
-def _scaled(v: RationalVector) -> tuple[int, list[int]]:
-    """(s, ints): v as ints over the least positive scale s."""
-    s = math.lcm(*(c.denominator for c in v))
-    return s, [c.numerator * (s // c.denominator) for c in v]
-
-
 @st.composite
 def coefficient_rows(draw):
     """Rows (y; z1, z2) drawn as rational multiples of a few base rows, so
@@ -203,14 +198,14 @@ def test_grid_rows_key_groups_rows_as_primitive_does(rows):
         v = RationalVector(y.coords + z.coords)
         if v.is_zero():
             continue
-        assert _int_primitive(_cleared(v.coords)) == tuple(int(c) for c in v.primitive().coords)
+        assert _int_primitive(_cleared(v.coords)[1]) == tuple(int(c) for c in v.primitive().coords)
         if cone_contains(RAY, y) and cone_contains(orthant, z):
             continue
         if v.primitive() not in seen:
             seen.add(v.primitive())
             kept.append((f"row x={k}", v.coords))
     # the rows go in as ints over one scale per side, as the engines pass them
-    entries = [(k, *_scaled(y), *_scaled(z)) for k, (y, z) in enumerate(vectors)]
+    entries = [(k, *_cleared(y.coords), *_cleared(z.coords)) for k, (y, z) in enumerate(vectors)]
     assert [(c.label, c.coeffs) for c in _grid_rows(entries, RAY, orthant, "row")] == kept
 
 
@@ -265,6 +260,34 @@ class TestSufficientCondition:
         assert out.certified
         (cert,) = out.certificates
         assert not cert.ystar.is_zero()
+
+    def test_weak_target_refuses_k_with_empty_interior(self, monkeypatch):
+        """K is the ray through (1, 1) in Q^2.  The weak target's nonzero
+        row needs an interior point of K, so the check raises
+        InteriorEmptyError before any LP, as the other weak-target engines
+        do; the proper target still certifies."""
+        ray = PolyhedralCone.from_generators([V(1, 1)])
+        square = VectorMap.from_coeffs(1, 2, [[((2,), 1)], [((2,), 1)]])
+        shifted = VectorMap.from_coeffs(1, 1, [[((1,), 1), ((0,), -1)]])
+        problem = DCProblem(1, 2, 1, square, VectorMap.zero(1, 2), shifted,
+                            VectorMap.zero(1, 1), BoxSet(V(-1), V(1)), ray, RAY,
+                            V(0, 0), V(0))
+        T, L = [LinearOperator.column([0, 0])], [LinearOperator.column([0])]
+        args = (NeighborhoodSpec(HALF), GridSpec(problem.C, 9))
+        solves = []
+        solve = multipliers.solve_feasibility
+
+        def spy(lfp):
+            solves.append(lfp)
+            return solve(lfp)
+
+        monkeypatch.setattr(multipliers, "solve_feasibility", spy)
+        with pytest.raises(InteriorEmptyError):
+            sufficient_condition(problem, T, L, None, "weak", "legacy-gl", *args)
+        assert solves == []
+        out = sufficient_condition(problem, T, L, None, "proper", "legacy-gl", *args)
+        assert out.certified
+        assert [(c.ystar, c.zstar) for c in out.certificates] == [(V(1, 0), V(0))]
 
     def test_corrected_mode_requires_scalar_domain(self):
         zero2 = VectorMap.zero(2, 2)

@@ -186,6 +186,15 @@ class TestErrors:
         with pytest.raises(ProblemFileError, match="exponents"):
             parse_problem(text)
 
+    def test_byte_order_mark_dropped(self):
+        assert parse_problem("\ufeff" + MINIMAL) == parse_problem(MINIMAL)
+        # line numbers count the file's lines as without the mark
+        with pytest.raises(ProblemFileError, match="^line 6: unknown section"):
+            parse_problem("\ufeff" + patched(MINIMAL, "[cone K]", "[cone Q]"))
+        # only one mark is dropped
+        with pytest.raises(ProblemFileError, match="^line 1: content before"):
+            parse_problem("\ufeff\ufeff" + MINIMAL)
+
     def test_content_before_section_rejected(self):
         with pytest.raises(ProblemFileError, match="before the first section"):
             parse_problem("x_dim = 1\n" + MINIMAL)

@@ -139,7 +139,7 @@ def oracle_grid_rows(entries, K, D):
             continue
         if cone_contains(K, coeff_y) and cone_contains(D, coeff_z):
             continue
-        key = _int_primitive(_cleared(coeffs))
+        key = _int_primitive(_cleared(coeffs)[1])
         if key in seen:
             continue
         seen.add(key)
@@ -378,10 +378,10 @@ def direct_positions(problem, grid):
 
 
 def test_flags_match_feasible_contains():
-    """`feasible_positions` over the whole certification list returns
-    exactly the points `feasible_contains` accepts: on generated problems,
-    some on a grid whose box is strictly wider than C, so that its points
-    outside C must read infeasible; and at grids 5, 33 and 101 on both
+    """`pareto.feasibility` flags exactly the certification points
+    `feasible_contains` accepts: on generated problems, some on a grid
+    whose box is strictly wider than C, so that its points outside C must
+    read infeasible; and at grids 5, 33 and 101 on both
     shipped problems, a 2-D corpus problem and a problem whose H and S
     tables have different scales."""
     tags = set()
@@ -398,7 +398,7 @@ def test_flags_match_feasible_contains():
                             grid.points_per_axis)
             tags.add("grid wider than C")
         points, expected = direct_positions(problem, grid)
-        positions = pareto.feasible_positions(problem, grid, range(len(points)))
+        positions = [i for i, ok in enumerate(pareto.feasibility(problem, grid)[0]) if ok]
         assert positions == expected
         assert all(problem.C.contains(points[i]) for i in positions)
         if any(problem.C.contains(x) for i, x in enumerate(points) if i not in positions):
@@ -416,13 +416,14 @@ def test_flags_match_feasible_contains():
         for n in (5, 33, 101):
             grid = GridSpec(problem.C, n)
             points, expected = direct_positions(problem, grid)
-            assert pareto.feasible_positions(problem, grid, range(len(points))) == expected
+            flags = pareto.feasibility(problem, grid)[0]
+            assert [i for i, ok in enumerate(flags) if ok] == expected
 
 
 @pytest.mark.parametrize("swap", [False, True])
 def test_corrupt_table_row_at_xbar_raises(monkeypatch, swap):
     """With S's table row at xbar corrupted so that the table's flag there
-    flips, `feasible_positions` raises RuntimeError and keeps no flags: on
+    flips, `pareto.feasibility` raises RuntimeError and keeps no flags: on
     example-4-1, where xbar is feasible, and with H and S swapped, where it
     is not."""
     problem = scenarios.load_scenario_problem("example-4-1").problem
@@ -446,7 +447,7 @@ def test_corrupt_table_row_at_xbar_raises(monkeypatch, swap):
     monkeypatch.setattr(PointTable, "values", corrupt)
     for _ in range(2):
         with pytest.raises(RuntimeError, match="xbar"):
-            pareto.feasible_positions(problem, grid, range(33))
+            pareto.feasibility(problem, grid)
     assert not problem.certification_table(grid).flags
 
 
