@@ -576,11 +576,10 @@ def alternative_system(Fmap: VectorMap, Gmap: VectorMap, K: PolyhedralCone,
                 f"(witness {x1}, {x2}, lambda={format_rational(lam)})")
     table = C_grid.table(Fmap.exception_points() + Gmap.exception_points())
     Ft, Gt = table.values(Fmap), table.values(Gmap)
-    K_normals = K.interior_normals()
+    K_normals, D_normals = K.interior_normals(), D.interior_normals()
     entries = []
     for x, fy, gy in zip(table.points, Ft.rows, Gt.rows):
-        if all(_dot(a, fy) < 0 for a in K_normals) and \
-                all(_dot(b, gy) < 0 for b in D.interior_normals()):
+        if all(_dot(a, fy) < 0 for a in K_normals) and all(_dot(b, gy) < 0 for b in D_normals):
             return AlternativeOutcome(Status.SOLUTION_EXISTS, x=x, warnings=tuple(warnings))
         entries.append((x, Ft.scale, fy, Gt.scale, gy))
     certificate = _solve_multipliers(_prefix(K, D), _grid_rows(entries, K, D, "value-row"), K.dim)

@@ -143,12 +143,14 @@ def check_eps_weak_local_min(problem: DCProblem, U: NeighborhoodSpec,
                              grid: GridSpec) -> WeakMinVerdict:
     """Certify on the grid, or falsify with the exact witness point and its
     objective difference vector.  The difference is in -int K exactly when
-    each of its integer pairings with the normals of K is negative."""
+    each of its integer pairings with the normals of K is negative, so a K
+    with empty interior is refused before any work."""
+    normals = problem.K.interior_normals()
     scale, rows = _objective_rows(problem, U, grid)
     checked = 0
     for i, diff in rows:
         checked += 1
-        if all(_dot(a, diff) < 0 for a in problem.K.interior_normals()):
+        if all(_dot(a, diff) < 0 for a in normals):
             witness = problem.certification_table(grid).points[i]
             value = RationalVector(tuple(Fraction(v, scale) for v in diff))
             return WeakMinVerdict(Status.FALSIFIED, witness, value, checked)

@@ -17,12 +17,12 @@ grid-relative ("NotFalsified", never "Proved"), and a Falsified verdict
 always carries an exact witness that re-checks by direct evaluation.
 
 A `GridSpec` keeps, for as long as it lives, what its points determine:
-each point list as its integer lattice index, and the list's `PointTable`,
-which decodes the points once and holds each map as integers over one
+each point list as its `PointTable`, which indexes the points on an integer
+lattice, decodes them once and holds each map as integers over one
 positive scale at every point, evaluated once per point.  Every engine
-but the convexity scans (`_Lattice`) reads those tables by position, never
-by packed key, dissipativity on its ball grids; only this module makes
-polynomials integer.
+reads those tables: the convexity scans (`_Lattice`) by packed key on the
+lattice of their lambdas, every other engine by position, dissipativity on
+its ball grids; only this module makes polynomials integer.
 `VectorMap.evaluate` serves only single points: the base point (also in
 `feasible_contains`, which cross-checks the table's flags), witnesses and
 library callers.
@@ -37,7 +37,7 @@ from functools import cached_property, reduce
 from fractions import Fraction
 from math import floor, gcd, lcm, prod
 from operator import and_, mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cones import (
     DimensionMismatchError,
@@ -195,36 +195,10 @@ class BoxSet:
         return BoxSet(lo, hi)
 
 
-class _LatticeIndex(NamedTuple):
-    """Integer index of one point list of a grid on the lattice q times
-    finer than its coarse lattice; see `GridSpec.lattice`.  Outside this
-    module a list is read through its `PointTable`."""
-
-    # packed coarse key per point, ascending, so in lexicographic point
-    # order; point a sits at fine key q*keys[a]
-    keys: list[int]
-    # fine-lattice coordinate x_d = (base_d + K_d*unit_d) / den_d with the
-    # digit K_d = key // stride % radix; one (base, unit, stride, radix) per
-    # axis.  `decode`, `PointTable.offsets` and `_LatticeMap._poly_at`
-    # inline the digit, so a change to the packing changes all three
-    axes: list[tuple[int, int, int, int]]
-    dens: list[int]
-    # packed coarse key of each extra point in the box
-    extra_keys: dict[tuple[Fraction, ...], int]
-
-    def decode(self, keys: Sequence[int]) -> list[RationalVector]:
-        """The points at packed fine keys, one Fraction per distinct coordinate."""
-        columns = []
-        for (base, unit, stride, radix), den in zip(self.axes, self.dens):
-            ks = [key // stride % radix for key in keys]
-            values = {k: Fraction(base + k * unit, den) for k in set(ks)}
-            columns.append(map(values.__getitem__, ks))
-        return [RationalVector(c) for c in zip(*columns)]
-
-
 class _LatticeMap:
-    """One map on one lattice index, as integers: scale * map(x) at each
-    fine key, with one positive scale for the whole lattice.
+    """One map on one point table, as integers: scale * map(x) at each
+    fine key of the table's lattice, with one positive scale for the whole
+    lattice.
 
     The map's polynomials become integer polynomials in the numerators
     base_d + K_d*unit_d of the fine coordinates, and the values of its
@@ -232,18 +206,19 @@ class _LatticeMap:
     says what a value becomes in the tables of a subclass.
     """
 
-    def __init__(self, vmap: VectorMap, index: _LatticeIndex, q: int) -> None:
-        self._axes = index.axes
+    def __init__(self, vmap: VectorMap, table: PointTable) -> None:
+        self._axes = table.axes
         self.scale, self._polys = _int_polys(
-            vmap.coords, index.dens, (v.denominator for _, value in vmap.exceptions for v in value))
-        self._overrides = {q * index.extra_keys[p.coords]: [int(v * self.scale) for v in value]
-                           for p, value in vmap.exceptions if p.coords in index.extra_keys}
+            vmap.coords, table.dens, (v.denominator for _, value in vmap.exceptions for v in value))
+        q, extra = table.q, table.extra_keys
+        self._overrides = {q * extra[p.coords]: [int(v * self.scale) for v in value]
+                           for p, value in vmap.exceptions if p.coords in extra}
 
     def _row(self, ys: Sequence[int]) -> tuple[int, ...]:
         return tuple(ys)
 
     def _poly_at(self, key: int) -> list[int]:
-        """scale * map(x) by the polynomial at a fine key; see `axes`."""
+        """scale * map(x) by the polynomial at a fine key; see `PointTable`."""
         return _int_eval(self._polys, [base + key // stride % radix * unit
                                        for base, unit, stride, radix in self._axes])
 
@@ -251,9 +226,10 @@ class _LatticeMap:
         ys = self._overrides.get(key)
         return self._poly_at(key) if ys is None else ys
 
-    def _tabulate_line(self, size: int) -> list[list[int]]:
-        """The rows at keys 0 .. size-1 of a line lattice, one list per
-        entry of a row.
+    def _tabulate_line(self, bound: int) -> list[list[int]] | None:
+        """The rows at keys 0 .. size-1 of the fine lattice, one list per
+        entry of a row, when it is a line (at most one radix is above 1) of
+        size at most bound; None otherwise.
 
         Along the line each entry is a polynomial in the key of at most the
         degree d of the map in the varying coordinate, with integer values.
@@ -263,8 +239,12 @@ class _LatticeMap:
         size at most d, the table of degree size - 1 through the keys it
         has is exact.  Exceptional keys then override their single values.
         """
+        radices = [radix for *_, radix in self._axes]
+        size = prod(radices)
+        if sum(radix > 1 for radix in radices) > 1 or size > bound:
+            return None
         degree = max((e for poly in self._polys for exponents, _ in poly
-                      for e, (*_, radix) in zip(exponents, self._axes) if radix > 1), default=0)
+                      for e, radix in zip(exponents, radices) if radix > 1), default=0)
         d = min(degree, size - 1)
         rows = [self._row(self._poly_at(key)) for key in range(d + 1)]
         # the forward differences of orders 0 .. d at key 0
@@ -286,37 +266,49 @@ class _LatticeMap:
 
 
 class _MapTable(_LatticeMap):
-    """scale * map(x) as ints at every point of one point list (q = 1), in
-    list order (`rows`).
+    """scale * map(x) as ints at every point of one point table, in list
+    order (`rows`).
 
-    When the points vary along at most one axis and the line through them
-    has at most twice as many keys as points, the line is tabulated by
-    differences; otherwise each point is evaluated by the polynomial.
+    When the fine lattice is a line of at most twice as many keys as
+    points, it is tabulated by differences; otherwise each point is
+    evaluated by the polynomial.
     """
 
-    def __init__(self, vmap: VectorMap, index: _LatticeIndex) -> None:
-        super().__init__(vmap, index, 1)
-        keys = index.keys
-        radices = [radix for *_, radix in self._axes]
-        size = prod(radices)
-        if sum(radix > 1 for radix in radices) <= 1 and size <= 2 * len(keys):
-            line = list(zip(*self._tabulate_line(size)))
-            self.rows = [line[key] for key in keys]
+    def __init__(self, vmap: VectorMap, table: PointTable) -> None:
+        super().__init__(vmap, table)
+        q, keys = table.q, table.keys
+        columns = self._tabulate_line(2 * len(keys))
+        if columns is None:
+            self.rows = [self._row(self._ys(q * key)) for key in keys]
         else:
-            self.rows = [self._row(self._ys(key)) for key in keys]
+            line = list(zip(*columns))
+            self.rows = [line[q * key] for key in keys]
 
 
 class PointTable:
-    """One point list of a grid and its integer value tables.
+    """One point list of a grid on the lattice q times finer than its
+    coarse lattice, and its integer value tables.
 
-    The table owns the list's lattice index for q = 1 and hides its packed
-    keys behind positions 0 .. len - 1, in list order.  `points` decodes
-    the whole list the first time it is asked for, `point(i)` one point,
-    and `position` finds a listed extra point.  `offsets(center)` holds
-    c * (x - center) as ints at every point, once per center, for `within`
-    and `affine`.  `values(vmap)` holds scale * vmap(x) as ints at every
-    point, one positive scale per map, computed the first time a map is
-    asked for: each map is evaluated at most once per point, and
+    Every listed point is lo + k*h for an integer index vector k, where
+    each axis step h is the rational gcd of the grid step and the offsets
+    of the extra points from lo; grid points are lo + k*step by
+    construction, so only the extra points need a gcd.  With every lambda
+    written w/q, the combination lam*x_i + (1-lam)*x_j has index
+    w*k_i + (q-w)*k_j on the fine lattice lo + K*h/q.  Index vectors are
+    packed into one int by a mixed radix wide enough for the fine lattice;
+    the packing is linear and order-preserving, and a convex combination
+    never leaves the box, so combinations can be formed on the packed
+    keys.  q is the lcm of the lambda denominators for the convexity scans
+    (`_Lattice`) and 1 for every other engine.
+
+    The table hides its packed keys behind positions 0 .. len - 1, in list
+    order; the point at position i sits at fine key q * keys[i].  `points`
+    decodes the whole list the first time it is asked for, `point(i)` one
+    point, and `position` finds a listed extra point.  `offsets(center)`
+    holds c * (x - center) as ints at every point, once per center, for
+    `within` and `affine`.  `values(vmap)` holds scale * vmap(x) as ints
+    at every point, one positive scale per map, computed the first time a
+    map is asked for: each map is evaluated at most once per point, and
     exceptional values override.  The engines compare integer pairings of
     these rows with the cone normals; only witnesses and the LP rows that
     survive pruning turn back into Fractions.  `flags` keeps, per problem
@@ -326,28 +318,54 @@ class PointTable:
     object alive, so no key is reused while the table lives.
     """
 
-    def __init__(self, index: _LatticeIndex) -> None:
-        self.index = index
+    def __init__(self, keys: list[int], axes: list[tuple[int, int, int, int]], dens: list[int],
+                 extra_keys: dict[tuple[Fraction, ...], int], q: int) -> None:
+        # packed coarse key per point, ascending, so in lexicographic point order
+        self.keys = keys
+        # fine-lattice coordinate x_d = (base_d + K_d*unit_d) / den_d with the
+        # digit K_d = key // stride % radix; one (base, unit, stride, radix) per
+        # axis.  `_columns` and `_LatticeMap._poly_at` inline the digit, so a
+        # change to the packing changes both
+        self.axes, self.dens = axes, dens
+        # packed coarse key of each extra point in the box
+        self.extra_keys = extra_keys
+        self.q = q
         self._maps: dict[int, tuple[VectorMap, _MapTable]] = {}
         self._offsets: dict[tuple[Fraction, ...], tuple[int, list[tuple[int, ...]]]] = {}
         self.flags: dict[int, tuple[DCProblem, list[bool], bool]] = {}
 
     def __len__(self) -> int:
-        return len(self.index.keys)
+        return len(self.keys)
+
+    def _columns(self, keys: Sequence[int], value: Callable[[int, int], object]) -> Iterator[tuple]:
+        """value(d, n) along each axis d for the point at each coarse key,
+        with n = base_d + K_d*unit_d its fine numerator, computed once per
+        distinct digit; one tuple per point."""
+        columns = []
+        for d, (base, unit, stride, radix) in enumerate(self.axes):
+            ks = [self.q * key // stride % radix for key in keys]
+            values = {k: value(d, base + k * unit) for k in set(ks)}
+            columns.append(map(values.__getitem__, ks))
+        return zip(*columns)
+
+    def _decode(self, keys: Sequence[int]) -> list[RationalVector]:
+        """The points at packed coarse keys, one Fraction per distinct coordinate."""
+        dens = self.dens
+        return [RationalVector(c) for c in self._columns(keys, lambda d, n: Fraction(n, dens[d]))]
 
     @cached_property
     def points(self) -> list[RationalVector]:
-        return self.index.decode(self.index.keys)
+        return self._decode(self.keys)
 
     def point(self, i: int) -> RationalVector:
         """The point at position i, decoded alone."""
-        return self.index.decode([self.index.keys[i]])[0]
+        return self._decode([self.keys[i]])[0]
 
     def position(self, x: RationalVector) -> int | None:
         """The position of a listed extra point (xbar or an exceptional
         point in the box), or None."""
-        key = self.index.extra_keys.get(x.coords)
-        return None if key is None else bisect_left(self.index.keys, key)
+        key = self.extra_keys.get(x.coords)
+        return None if key is None else bisect_left(self.keys, key)
 
     def offsets(self, center: RationalVector) -> tuple[int, list[tuple[int, ...]]]:
         """(c, rows): c * (x - center) as ints for the point x at each
@@ -356,23 +374,19 @@ class PointTable:
         box.  Computed once per center."""
         hit = self._offsets.get(center.coords)
         if hit is None:
-            keys, dens = self.index.keys, self.index.dens
+            dens = self.dens
             c, at = _cleared(center.coords, *dens)
-            columns = []
-            for (base, unit, stride, radix), den, a in zip(self.index.axes, dens, at):
-                ks = [key // stride % radix for key in keys]
-                values = {k: (base + k * unit) * (c // den) - a for k in set(ks)}
-                columns.append(map(values.__getitem__, ks))
-            hit = self._offsets[center.coords] = (c, list(zip(*columns)))
+            rows = list(self._columns(self.keys, lambda d, n: n * (c // dens[d]) - at[d]))
+            hit = self._offsets[center.coords] = (c, rows)
         return hit
 
     def values(self, vmap: VectorMap) -> _MapTable:
         hit = self._maps.get(id(vmap))
         if hit is None:
-            if vmap.in_dim != len(self.index.axes):
+            if vmap.in_dim != len(self.axes):
                 raise DimensionMismatchError(
-                    f"point dim {len(self.index.axes)} vs map in_dim {vmap.in_dim}")
-            hit = self._maps[id(vmap)] = (vmap, _MapTable(vmap, self.index))
+                    f"point dim {len(self.axes)} vs map in_dim {vmap.in_dim}")
+            hit = self._maps[id(vmap)] = (vmap, _MapTable(vmap, self))
         return hit[1]
 
     def within(self, center: RationalVector, radius: Fraction) -> list[int]:
@@ -413,18 +427,15 @@ class GridSpec:
 
     Point k of an axis is Fraction(base + k*unit, den), where base/den is
     the lower bound and unit/den the step.  A point list, keyed by the
-    extra points that fall inside the box, is built only as its integer
-    lattice index (`lattice`), once per q, and kept for as long as the
-    instance lives; so are its `PointTable` (`table`), which holds the
-    decoded points and the value tables of the list, and the ball grids
-    built from this one (`ball`).  Nothing is kept past the instance.
+    extra points that fall inside the box, is built only as its
+    `PointTable` (`table`), once per q, and kept for as long as the
+    instance lives; so are the ball grids built from this one (`ball`).
+    Nothing is kept past the instance.
     """
 
     box: BoxSet
     points_per_axis: int
-    _indexes: dict[tuple[frozenset, int], _LatticeIndex] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _tables: dict[frozenset, PointTable] = field(
+    _tables: dict[tuple[frozenset, int], PointTable] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _balls: dict[tuple, GridSpec] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -447,58 +458,33 @@ class GridSpec:
             return [Fraction(base, den)]
         return [Fraction(base + k * unit, den) for k in range(self.points_per_axis)]
 
-    def _inside(self, extra: Iterable[RationalVector]) -> frozenset:
-        return frozenset(p.coords for p in extra
-                         if p.dim == self.box.dim and self.box.contains(p))
-
     def points(self, extra: Iterable[RationalVector] = ()) -> list[RationalVector]:
         """All grid points in lexicographic order, merged with any extra
         points that fall inside the box (exceptional points, base points):
         a copy of the list its `table` decodes."""
         return list(self.table(extra).points)
 
-    def lattice(self, extra: Iterable[RationalVector], q: int) -> _LatticeIndex:
-        """The integer index of `points(extra)` for lambdas over q.
-
-        Every listed point is lo + k*h for an integer index vector k, where
-        each axis step h is the rational gcd of the grid step and the
-        offsets of the extra points from lo; grid points are lo + k*step
-        by construction, so only the extra points need a gcd.  With every
-        lambda written w/q, the combination lam*x_i + (1-lam)*x_j has index
-        w*k_i + (q-w)*k_j on the fine lattice lo + K*h/q.  Index vectors
-        are packed into one int by a mixed radix wide enough for the fine
-        lattice; the packing is linear and order-preserving, and a convex
-        combination never leaves the box, so combinations can be formed on
-        the packed keys.  Built the first time it is asked for.
-        """
-        return self._index(self._inside(extra), q)
-
-    def _index(self, inside: frozenset, q: int) -> _LatticeIndex:
-        index = self._indexes.get((inside, q))
-        if index is None:
-            index = self._indexes[inside, q] = self._build_index(inside, q)
-        return index
-
-    def table(self, extra: Iterable[RationalVector]) -> PointTable:
-        """The value tables of `points(extra)`, on its lattice index for
-        q = 1; built the first time they are asked for."""
-        inside = self._inside(extra)
-        table = self._tables.get(inside)
+    def table(self, extra: Iterable[RationalVector], q: int = 1) -> PointTable:
+        """The `PointTable` of `points(extra)` on the lattice q times finer
+        than its coarse lattice; built the first time it is asked for."""
+        inside = frozenset(p.coords for p in extra
+                           if p.dim == self.box.dim and self.box.contains(p))
+        table = self._tables.get((inside, q))
         if table is None:
-            table = self._tables[inside] = PointTable(self._index(inside, 1))
+            table = self._tables[inside, q] = self._build_table(inside, q)
         return table
 
     def ball(self, center: RationalVector, radius: Fraction) -> GridSpec:
         """The grid with these points per axis on the max-norm ball of the
         radius around the center; built the first time it is asked for, so
-        every scan of that ball shares its lists and indexes."""
+        every scan of that ball shares its tables."""
         key = (center.coords, radius)
         grid = self._balls.get(key)
         if grid is None:
             grid = self._balls[key] = GridSpec(BoxSet.ball(center, radius), self.points_per_axis)
         return grid
 
-    def _build_index(self, inside: frozenset, q: int) -> _LatticeIndex:
+    def _build_table(self, inside: frozenset, q: int) -> PointTable:
         lower = self.box.lower.coords
         coarse, axis_keys, radices = [], [], []
         for axis, lo in enumerate(lower):
@@ -524,7 +510,7 @@ class GridSpec:
             den, (base, unit) = _cleared((lo, h / q))
             axes.append((base, unit, stride, radix))
             dens.append(den)
-        return _LatticeIndex(sorted({*keys, *extra_keys.values()}), axes, dens, extra_keys)
+        return PointTable(sorted({*keys, *extra_keys.values()}), axes, dens, extra_keys, q)
 
 
 @dataclass(frozen=True)
@@ -629,16 +615,17 @@ class _Lattice(_LatticeMap):
     """Integer values of one map over one grid, shared by both convexity
     scans.
 
-    The packed keys and fine axes come from the grid's lattice index
-    (`GridSpec.lattice`), which every map on the grid with the same
-    in-box exceptional points and the same q shares.  The map is evaluated
-    at most once per fine point reached, in a lazy memo.  Its values are
-    paired with every cone halfspace normal (primitive integer vectors) and
-    scaled by one common denominator D of all map values on the fine
-    lattice, so each point carries one int per halfspace and every cone
-    inequality becomes an integer comparison.  Exceptional points in the
-    box are scanned points, so their overrides are keyed by fine key like
-    any other value.  Only a witness pair is decoded into points.
+    The packed keys and fine axes come from the grid's `PointTable` for
+    the q of the lambdas (`GridSpec.table`), which every map on the grid
+    with the same in-box exceptional points and the same q shares.  The
+    map is evaluated at most once per fine point reached, in a lazy memo.
+    Its values are paired with every cone halfspace normal (primitive
+    integer vectors) and scaled by one common denominator D of all map
+    values on the fine lattice, so each point carries one int per halfspace
+    and every cone inequality becomes an integer comparison.  Exceptional
+    points in the box are scanned points, so their overrides are keyed by
+    fine key like any other value.  Only a witness pair is decoded into
+    points, by the table.
 
     When the scanned points vary along at most one axis, the fine lattice
     is one line whose packed keys are 0, 1, ...; `line` tabulates it by
@@ -652,9 +639,9 @@ class _Lattice(_LatticeMap):
             raise DimensionMismatchError("map and cone dimensions differ")
         self.lams = _pair_lambdas(lambdas)
         self.q = lcm(*(lam.denominator for lam in self.lams))
-        index = grid.lattice(vmap.exception_points(), self.q)
-        super().__init__(vmap, index, self.q)
-        self.index, self.keys = index, index.keys
+        self.table = grid.table(vmap.exception_points(), self.q)
+        super().__init__(vmap, self.table)
+        self.keys = self.table.keys
         self.normals = cone.normals
         lam_set = set(self.lams)
         # (lam, w, mirrored) in list order; mirrored when 1 - lam is not listed
@@ -672,17 +659,12 @@ class _Lattice(_LatticeMap):
     def line(self) -> list[list[int]] | None:
         """The whole fine lattice by `_tabulate_line`, one list per
         halfspace normal and also stored in the memo, when it is a line
-        that is not longer than the scan: at most one radix is above 1, so
-        the keys are 0 .. size-1, and size is at most the number of (pair,
+        that is not longer than the scan: at most the number of (pair,
         lambda, orientation) tests.  None otherwise."""
-        radices = [radix for *_, radix in self._axes]
-        size = prod(radices)
         n = len(self.keys)
-        tests = n * (n - 1) // 2 * sum(1 + mirrored for *_, mirrored in self._plan)
-        if sum(radix > 1 for radix in radices) > 1 or size > tests:
-            return None
-        columns = self._tabulate_line(size)
-        self._memo.update(zip(range(size), zip(*columns)))
+        columns = self._tabulate_line(n * (n - 1) // 2 * sum(1 + m for *_, m in self._plan))
+        if columns is not None:
+            self._memo.update(enumerate(zip(*columns)))
         return columns
 
     def _row(self, ys: Sequence[int]) -> tuple[int, ...]:
@@ -729,8 +711,7 @@ class _Lattice(_LatticeMap):
             b + a >= 2 * h for column in columns for b, h, a in zip(column, column[1:], column[2:]))
 
     def witness(self, a: int, b: int, lam: Fraction) -> ConvexityVerdict:
-        x1, x2 = self.index.decode([self.q * self.keys[a], self.q * self.keys[b]])
-        return ConvexityVerdict(Status.FALSIFIED, (x1, x2, lam))
+        return ConvexityVerdict(Status.FALSIFIED, (self.table.point(a), self.table.point(b), lam))
 
 
 def check_cone_convex(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,

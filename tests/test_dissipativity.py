@@ -39,7 +39,7 @@ from dcverify.dissipativity import (
     RadiusTrial,
     default_eps_samples,
 )
-from dcverify.problem import _LatticeIndex, _MapTable
+from dcverify.problem import PointTable, _MapTable
 from dcverify.scenarios import run_scenario
 
 V = RationalVector.of
@@ -192,32 +192,32 @@ class TestValidationAndInvariants:
 
 @pytest.fixture()
 def index_builds(monkeypatch):
-    """Every lattice index a GridSpec builds, as (grid, in-box extras, q);
+    """Every point table a GridSpec builds, as (grid, in-box extras, q);
     the list keeps each grid alive, so identities stay distinct."""
     builds = []
-    build = GridSpec._build_index
+    build = GridSpec._build_table
 
     def spy(grid, inside, q):
         builds.append((grid, inside, q))
         return build(grid, inside, q)
 
-    monkeypatch.setattr(GridSpec, "_build_index", spy)
+    monkeypatch.setattr(GridSpec, "_build_table", spy)
     return builds
 
 
 @pytest.fixture()
 def decoded(monkeypatch):
-    """Every call of the key decoder, as (index, keys, points)."""
+    """Every call of the key decoder, as (table, keys, points)."""
     calls = []
-    decode = _LatticeIndex.decode
+    decode = PointTable._decode
 
-    def spy(index, keys):
+    def spy(table, keys):
         keys = list(keys)
-        points = decode(index, keys)
-        calls.append((index, keys, points))
+        points = decode(table, keys)
+        calls.append((table, keys, points))
         return points
 
-    monkeypatch.setattr(_LatticeIndex, "decode", spy)
+    monkeypatch.setattr(PointTable, "_decode", spy)
     return calls
 
 
@@ -228,9 +228,9 @@ class TestWorkCounts:
         tables, direct = [], Counter()
         build, poly_at = _MapTable.__init__, _MapTable._poly_at
 
-        def spy_build(self, vmap, index):
-            tables.append((vmap, index))
-            build(self, vmap, index)
+        def spy_build(self, vmap, table):
+            tables.append((vmap, table))
+            build(self, vmap, table)
 
         def spy_poly_at(self, key):
             direct[id(self)] += 1
@@ -253,7 +253,7 @@ class TestWorkCounts:
         # directly at most at degree + 1 keys of each
         rel = tables[0][0]
         assert all(vmap is rel for vmap, _ in tables)
-        assert len({id(index) for _, index in tables}) == len(tables) == 4
+        assert len({id(table) for _, table in tables}) == len(tables) == 4
         degree = max(e for monos in rel.coords for (e,), _ in monos)
         assert len(direct) == 4 and max(direct.values()) <= degree + 1
 
@@ -270,7 +270,7 @@ class TestWorkCounts:
         report = run_scenario("example-3-1")
         per_index = Counter((id(grid), inside, q) for grid, inside, q in index_builds)
         assert max(per_index.values()) == 1
-        # the problem grid's two indexes (xbar at q = 1, no extras at q = 4
+        # the problem grid's two tables (xbar at q = 1, no extras at q = 4
         # for the convexity scans), then the ball grids of grad-G (4 radii);
         # grad-S certifies at the first radius, whose ball grid it shares
         # with grad-G through the grid template
@@ -281,10 +281,10 @@ class TestWorkCounts:
         # one whole list is decoded, the certification list of the feasible
         # set; every other decoded point is a dissipativity violator, and no
         # ball grid's list is decoded
-        whole = [points for index, keys, points in decoded if keys == index.keys]
+        whole = [points for table, keys, points in decoded if keys == table.keys]
         assert len(whole) == 1
         assert len(whole[0]) == int(report.results[0].data["total"])
-        others = [x for index, keys, points in decoded if keys != index.keys for x in points]
+        others = [x for table, keys, points in decoded if keys != table.keys for x in points]
         assert others and others == witnesses
 
 

@@ -352,7 +352,7 @@ def test_size_guard_declines_without_walking(monkeypatch):
     assert sum(evaluated for _, evaluated in calls) < tests
 
 
-# --- the grid's lattice index ----------------------------------------------
+# --- the grid's point tables on their lattices ------------------------------
 
 
 def oracle_index(grid, extra, q):
@@ -404,34 +404,34 @@ def test_index_matches_per_map_oracle(case):
     direct = itertools.product(*([lo + k * (hi - lo) / (n - 1) for k in range(n)] if lo != hi
                                  else [lo] for lo, hi in zip(box.lower, box.upper)))
     assert [p.coords for p in grid.points(extra=extra)] == sorted(set(direct) | inside)
-    # a second q on the same grid gets an index of its own
+    # a second q on the same grid gets a table of its own
     for q in (q, q + 1):
-        index = grid.lattice(extra, q)
+        index = grid.table(extra, q)
         points, keys, radices, axes, dens = oracle_index(grid, extra, q)
         # point a sits at fine key q*keys[a]
-        assert index.decode([q * key for key in index.keys]) == points
+        assert index.points == points
         assert index.keys == keys
         assert [radix for *_, radix in index.axes] == radices
         assert index.axes == axes
         assert index.dens == dens
         assert index.extra_keys == {p.coords: keys[points.index(p)]
                                     for p in extra if box.contains(p)}
-        assert grid.lattice(list(reversed(extra)), q) is index
+        assert grid.table(list(reversed(extra)), q) is index
 
 
 @pytest.mark.parametrize("name, builds", [("example-3-1", 1), ("example-4-1", 2)])
 def test_convexity_scans_share_the_grid_index(name, builds, monkeypatch):
     # the scenario's four cone-convexity and two convexlike scans share one
-    # index per set of in-box exceptional points: example-4-1's F and G
+    # table per set of in-box exceptional points: example-4-1's F and G
     # have an exception at 0, its H and S none
     built = []
-    build = GridSpec._build_index
+    build = GridSpec._build_table
 
     def spy(grid, inside, q):
         built.append((inside, q))
         return build(grid, inside, q)
 
-    monkeypatch.setattr(GridSpec, "_build_index", spy)
+    monkeypatch.setattr(GridSpec, "_build_table", spy)
     parsed = load_scenario_problem(name)
     results, _ = convexity_results(parsed, GridSpec(parsed.problem.C, 101))
     assert len(results) == 6
@@ -443,10 +443,19 @@ def test_convexity_scans_share_the_grid_index(name, builds, monkeypatch):
 
 @st.composite
 def framed(draw):
-    """A grid from `boxes` with its extra points, a center and a positive
-    radius.  The center is a listed extra point, a listed grid point, or any
+    """A grid from `boxes` with its extra points, a q, a center, a positive
+    radius and a map whose exceptional points are some of the extra points.
+    The center is a listed extra point, a listed grid point, or any
     rational point, which may lie off the lattice or outside the box."""
     grid, extra, _ = draw(boxes())
+    q = draw(st.sampled_from([1, 2, 4]))
+    dim, out_dim = grid.box.dim, draw(st.sampled_from([1, 2]))
+    exponent = st.tuples(*[st.integers(0, 3)] * dim)
+    coords = tuple(tuple((draw(exponent), draw(small)) for _ in range(draw(st.integers(0, 3))))
+                   for _ in range(out_dim))
+    overridden = draw(st.lists(st.sampled_from(extra), unique=True)) if extra else []
+    vmap = VectorMap(dim, out_dim, coords, tuple(
+        (p, RationalVector(tuple(draw(small) for _ in range(out_dim)))) for p in overridden))
     listed = [p for p in extra if grid.box.contains(p)]
     kind = draw(st.sampled_from(["extra", "grid", "any"] if listed else ["grid", "any"]))
     if kind == "extra":
@@ -457,23 +466,25 @@ def framed(draw):
         center = RationalVector(tuple(draw(rationals(-4, 4, max_denominator=7))
                                       for _ in range(grid.box.dim)))
     radius = draw(rationals(0, 2, max_denominator=6).filter(bool))
-    return grid, extra, kind, center, radius
+    return grid, extra, q, kind, center, radius, vmap
 
 
 def test_point_table_frame_matches_fractions():
-    """`offsets`, `within`, `position`, `point` and `len` of a grid's
-    table against the decoded points in ``Fraction``s: offsets are
-    c * (x - center) as ints with c > 0, `within` keeps exactly the points
-    `NeighborhoodSpec.contains` keeps, in list order, and each listed
-    extra point sits at its list position."""
+    """`points`, `offsets`, `within`, `position`, `point`, `len` and
+    `values` of a grid's table for any q against the points in
+    ``Fraction``s: offsets are c * (x - center) as ints with c > 0,
+    `within` keeps exactly the points `NeighborhoodSpec.contains` keeps, in
+    list order, each listed extra point sits at its list position, and the
+    value rows are scale * `VectorMap.evaluate` at every point."""
     tags = set()
 
     @SETTINGS
     @given(framed())
     def differential(case):
-        grid, extra, kind, center, radius = case
-        table = grid.table(extra)
+        grid, extra, q, kind, center, radius, vmap = case
+        table = grid.table(extra, q)
         points = grid.points(extra=extra)
+        assert table.q == q and table.points == points
         c, rows = table.offsets(center)
         assert c > 0 and all(type(v) is int for row in rows for v in row)
         assert rows == [tuple(c * (xi - ci) for xi, ci in zip(x, center)) for x in points]
@@ -486,8 +497,13 @@ def test_point_table_frame_matches_fractions():
         for p in extra:
             assert table.position(p) == (points.index(p) if grid.box.contains(p) else None)
         assert all(table.position(x) is None for x in points if x not in extra)
+        values = table.values(vmap)
+        assert values.scale > 0 and all(type(v) is int for row in values.rows for v in row)
+        assert values.rows == [tuple(values.scale * v for v in vmap.evaluate(x)) for x in points]
         box = grid.box
         tags.update({kind, f"{box.dim}-D"})
+        if q != 1:
+            tags.add("q != 1")
         if any(lo == hi for lo, hi in zip(box.lower, box.upper)):
             tags.add("flat axis")
         if center not in points:
@@ -497,7 +513,7 @@ def test_point_table_frame_matches_fractions():
 
     differential()
     assert tags == {"extra", "grid", "any", "1-D", "2-D", "3-D", "flat axis", "off the list",
-                    "outside the box"}
+                    "outside the box", "q != 1"}
 
 
 # --- the line's difference table -------------------------------------------

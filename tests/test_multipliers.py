@@ -23,6 +23,7 @@ from dcverify import (
     RationalVector,
     VectorMap,
     alternative_system,
+    check_eps_weak_local_min,
     cone_contains,
     default_corrections,
     necessary_condition,
@@ -30,6 +31,7 @@ from dcverify import (
     solve_feasibility,
     sufficient_condition,
 )
+from dcverify.cli import main
 from dcverify.cones import _cleared, _int_primitive, format_rational
 from dcverify.multipliers import (
     FeasibilityResult,
@@ -48,6 +50,48 @@ RAY = PolyhedralCone.from_generators([V(1)])
 
 def grid_over(box_lo, box_hi, n=21):
     return GridSpec(BoxSet(V(box_lo), V(box_hi)), n)
+
+
+def ray_problem_file(path, y_dim, z_dim, K, D, F, H, S="", candidates=""):
+    """A problem file on x in [-1, 1] with xbar = 0, eps = 0 and G = 0;
+    each map is its poly lines and each cone its generator lines."""
+    path.write_text(f"""[spaces]
+x_dim = 1
+y_dim = {y_dim}
+z_dim = {z_dim}
+[cone K]
+{K}
+[cone D]
+{D}
+[map F]
+{F}
+[map G]
+[map H]
+{H}
+[map S]
+{S}
+[set C]
+lower = -1
+upper = 1
+[point]
+xbar = 0
+eps = {" ".join(["0"] * y_dim)}
+{candidates}""", encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def solves(monkeypatch):
+    """Every system `solve_feasibility` is asked to decide."""
+    calls = []
+    solve = multipliers.solve_feasibility
+
+    def spy(lfp):
+        calls.append(lfp)
+        return solve(lfp)
+
+    monkeypatch.setattr(multipliers, "solve_feasibility", spy)
+    return calls
 
 
 class TestSolveFeasibility:
@@ -150,21 +194,39 @@ class TestAlternativeSystem:
 
     def test_each_map_tabulated_once_per_call(self, monkeypatch):
         """The solution scan and the LP rows read one value table per map;
-        the convexlike scans build lattices of their own, not tables."""
+        the convexlike scans read the grid's table for their lambdas, but
+        tabulate no map on it."""
         Fmap = scalar_map(((1,), F(1)))
         Gmap = scalar_map(((1,), F(-1)))
         builds = Counter()
         build = _MapTable.__init__
 
-        def spy(self, vmap, index):
+        def spy(self, vmap, table):
             builds[id(vmap)] += 1
-            build(self, vmap, index)
+            build(self, vmap, table)
 
         monkeypatch.setattr(_MapTable, "__init__", spy)
         for _ in range(2):
             builds.clear()
             assert alternative_system(Fmap, Gmap, RAY, RAY, grid_over(-1, 1)).kind == "Multipliers"
             assert builds == Counter({id(Fmap): 1, id(Gmap): 1})
+
+    @pytest.mark.parametrize("f", [1, -1])
+    def test_refuses_d_with_empty_interior(self, f, solves, tmp_path, capsys):
+        """D is the ray through (1, 1) in Q^2, K = Q+, F = f*x^2 and G = 0,
+        with H = S = (x, x) in the file.  With f = 1 no point passes the K
+        test, with f = -1 some point does; either way the check raises
+        InteriorEmptyError before any LP, and the CLI exits 1."""
+        ray = PolyhedralCone.from_generators([V(1, 1)])
+        with pytest.raises(InteriorEmptyError):
+            alternative_system(scalar_map(((2,), F(f))), VectorMap.zero(1, 2), RAY, ray,
+                               grid_over(-1, 1, 5))
+        path = ray_problem_file(tmp_path / "ray-d.problem", 1, 2, "generator = 1",
+                                "generator = 1 1", f"poly 0 = {f} 2", "poly 0 = 1 1\npoly 1 = 1 1",
+                                "poly 0 = 1 1\npoly 1 = 1 1", "[candidates]\nT = 0\nL = 0 0\n")
+        assert main(["check", "alternative", "--problem", path, "--grid", "5"]) == 1
+        assert "interior empty" in capsys.readouterr().err
+        assert solves == []
 
     def test_non_convexlike_inputs_warn_but_run(self):
         two_valued = VectorMap(1, 2, ((), ()),
@@ -261,7 +323,7 @@ class TestSufficientCondition:
         (cert,) = out.certificates
         assert not cert.ystar.is_zero()
 
-    def test_weak_target_refuses_k_with_empty_interior(self, monkeypatch):
+    def test_weak_target_refuses_k_with_empty_interior(self, solves):
         """K is the ray through (1, 1) in Q^2.  The weak target's nonzero
         row needs an interior point of K, so the check raises
         InteriorEmptyError before any LP, as the other weak-target engines
@@ -274,14 +336,6 @@ class TestSufficientCondition:
                             V(0, 0), V(0))
         T, L = [LinearOperator.column([0, 0])], [LinearOperator.column([0])]
         args = (NeighborhoodSpec(HALF), GridSpec(problem.C, 9))
-        solves = []
-        solve = multipliers.solve_feasibility
-
-        def spy(lfp):
-            solves.append(lfp)
-            return solve(lfp)
-
-        monkeypatch.setattr(multipliers, "solve_feasibility", spy)
         with pytest.raises(InteriorEmptyError):
             sufficient_condition(problem, T, L, None, "weak", "legacy-gl", *args)
         assert solves == []
@@ -356,6 +410,32 @@ class TestNecessaryCondition:
                                   "weak", "corrected", NeighborhoodSpec(HALF),
                                   GridSpec(p.C, 41))
         assert out.warnings and "not certified weak-minimal" in out.warnings[0]
+
+    @pytest.mark.parametrize("h", [1, -1])
+    def test_weak_min_refuses_k_with_empty_interior(self, h, solves, tmp_path, capsys):
+        """K is the ray through (1, 1) in Q^2, F = (x^2, x^2), G = S = 0,
+        D = Q+ and H = h.  With h = 1 no point is feasible, with h = -1
+        every point is; either way weak-min raises InteriorEmptyError
+        before it scans, the necessary condition with it through its
+        weak-min warning, before any LP, and the CLI exits 1."""
+        ray = PolyhedralCone.from_generators([V(1, 1)])
+        square = VectorMap.from_coeffs(1, 2, [[((2,), 1)], [((2,), 1)]])
+        problem = DCProblem(1, 2, 1, square, VectorMap.zero(1, 2), scalar_map(((0,), F(h))),
+                            VectorMap.zero(1, 1), BoxSet(V(-1), V(1)), ray, RAY, V(0, 0), V(0))
+        U, grid = NeighborhoodSpec(HALF), GridSpec(problem.C, 5)
+        with pytest.raises(InteriorEmptyError):
+            check_eps_weak_local_min(problem, U, grid)
+        T, L = LinearOperator.column([0, 0]), LinearOperator.column([0])
+        for mode in ("corrected", "legacy-gl"):
+            with pytest.raises(InteriorEmptyError):
+                necessary_condition(problem, [T], [L], "weak", mode, U, grid)
+        path = ray_problem_file(tmp_path / "ray-k.problem", 2, 1, "generator = 1 1",
+                                "generator = 1", "poly 0 = 1 2\npoly 1 = 1 2", f"poly 0 = {h} 0")
+        for argv in (["weak-min"], ["necessary", "--mode", "corrected"],
+                     ["necessary", "--mode", "legacy-gl"]):
+            assert main(["check", *argv, "--problem", path, "--grid", "5"]) == 1
+            assert "interior empty" in capsys.readouterr().err
+        assert solves == []
 
     def test_proper_target_tries_zero_branch_first(self, exceptional_point):
         p = exceptional_point.problem

@@ -87,6 +87,7 @@ def oracle_local_feasible_points(problem, U, grid):
 
 
 def oracle_check_eps_weak_local_min(problem, U, grid):
+    problem.K.interior_normals()  # a K with empty interior is refused up front
     base = problem.objective(problem.xbar)
     checked = 0
     for x in oracle_local_feasible_points(problem, U, grid):
@@ -171,6 +172,8 @@ def oracle_alternative_system(Fmap, Gmap, K, D, C_grid):
             warnings.append(
                 f"map {name} is not convexlike on the grid "
                 f"(witness {x1}, {x2}, lambda={format_rational(lam)})")
+    # a K or D with empty interior is refused up front
+    K.interior_normals(), D.interior_normals()
     entries = []
     for x in C_grid.points(extra=Fmap.exception_points() + Gmap.exception_points()):
         fx, gx = Fmap.evaluate(x), Gmap.evaluate(x)
@@ -464,11 +467,11 @@ def test_scenario_evaluates_each_map_once_per_point(monkeypatch):
         build, poly_at, evaluate = _MapTable.__init__, _MapTable._poly_at, VectorMap.evaluate
         inside, degrees = [], {}
 
-        def spy_build(self, vmap, index):
-            builds[id(vmap), id(index)] += 1
+        def spy_build(self, vmap, table):
+            builds[id(vmap), id(table)] += 1
             degrees[id(self)] = max((e for monos in vmap.coords for exponents, _ in monos
                                      for e in exponents), default=0)
-            build(self, vmap, index)
+            build(self, vmap, table)
 
         def spy_poly_at(self, key):
             direct[id(self), key] += 1
