@@ -5,13 +5,13 @@ rational unknowns (the components of the multiplier pair) with relations
 ``>=``, ``==`` and ``>``.  Strict relations are handled by a shared slack
 variable bounded by one and maximized with a deterministic two-phase simplex
 under Bland's rule; the strict system is satisfiable exactly when the
-optimal slack is positive.  A tableau row is sparse: its nonzero entries as
-Python integers, the exact row times a positive scale.  Pivots are
-fraction-free, update each row in place and touch only stored entries; on a
-long grid system nearly all of the about m pivots are degenerate and update
-every row, each of about three stored entries.  Feasible assignments are
-read back as exact ``Fraction`` values, and each certificate is checked
-exactly, in integers, on its rows.
+optimal slack is positive.  A ``Constraint`` is ints over one positive
+den, and the phase-1 objective sums the rows at that scale.  Tableau rows
+are sparse ints, each the exact row times a positive scale; pivots are
+fraction-free and in place, and divide only the pivot row by its content
+(every row, every CONTENT_PERIOD pivots).  Feasible assignments are read
+back as exact ``Fraction`` values, and each certificate is checked exactly,
+in integers, on its rows.
 
 On top of the core sit the theorem engines:
 
@@ -30,8 +30,8 @@ On top of the core sit the theorem engines:
 
 Value rows (the alternative) and subgradient rows are ints from the grid's
 value tables (``problem.PointTable``); pruning and deduplication
-(``_grid_rows``) read the ints, and only the rows that survive become
-``Fraction`` constraints, with the values, labels and order the LP had.
+(``_grid_rows``) read the ints, and the rows that survive become
+constraints from those ints, each formatting its label only when read.
 
 One function, ``_solve_multipliers``, poses, solves and certifies every
 multiplier system: a prefix built once per engine call (the dual-cone rows,
@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .cones import (
@@ -75,6 +76,8 @@ MAX_VARIABLES = 8
 # pivots per tableau row past which a simplex phase has lost its tableau;
 # no LP of the tests or benchmark workloads makes more than 7.9
 PIVOTS_PER_ROW = 80
+# pivots of a solve between two divisions of every tableau row by its content
+CONTENT_PERIOD = 8
 # engine rows (past the prefix) from which a multiplier system is first
 # decided on subsets; ge rows added per subset round; rounds at most
 SUBSET_ROWS = 30
@@ -97,15 +100,59 @@ class SolverLimitError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
-    relation: str  # "ge" | "eq" | "gt"
-    rhs: Fraction
-    label: str = ""
+    """The row coeffs . v <relation> rhs (relation "ge", "eq" or "gt") as
+    ints over one positive den, in lowest terms: coeffs = ints / den and
+    rhs = rhs_int / den.  int or Fraction input, over ``den`` if given, is
+    cleared here.  A grid row keeps its point and formats its label
+    "<label> x=<point>" only when read."""
+
+    __slots__ = ("ints", "relation", "rhs_int", "den", "_label", "_point")
+
+    def __init__(self, coeffs: Sequence[Fraction | int], relation: str,
+                 rhs: Fraction | int = 0, label: str = "", den: int = 1,
+                 point: RationalVector | None = None) -> None:
+        if relation not in ("ge", "eq", "gt"):
+            raise ValueError(f"unknown relation {relation!r}")
+        if type(den) is not int or den <= 0:
+            raise ValueError(f"a constraint's den must be a positive int, not {den!r}")
+        values = (*coeffs, rhs)
+        if not all(type(v) is int for v in values):
+            if not all(isinstance(v, (int, Fraction)) for v in values):
+                raise ValueError("constraint coefficients and rhs must be int or Fraction")
+            d, values = _cleared(values)
+            den *= d
+        g = math.gcd(*values, den)
+        *ints, rhs_int = values if g == 1 else (v // g for v in values)
+        self.ints, self.relation, self.rhs_int, self.den = tuple(ints), relation, rhs_int, den // g
+        self._label, self._point = label, point
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.ints)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.rhs_int, self.den)
+
+    @property
+    def label(self) -> str:
+        return self._label if self._point is None else f"{self._label} x={self._point}"
+
+    def _key(self) -> tuple:
+        return self.ints, self.relation, self.rhs_int, self.den, self.label
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Constraint) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Constraint{self._key()!r}"
 
     def value(self, assignment: Sequence[Fraction]) -> Fraction:
-        return sum((c * v for c, v in zip(self.coeffs, assignment)), Fraction(0))
+        return sum(map(mul, self.ints, assignment), Fraction(0)) / self.den
 
     def holds(self, assignment: Sequence[Fraction]) -> bool:
         return self.residual_holds(self.value(assignment) - self.rhs)
@@ -116,9 +163,7 @@ class Constraint:
             return residual >= 0
         if self.relation == "eq":
             return residual == 0
-        if self.relation == "gt":
-            return residual > 0
-        raise ValueError(f"unknown relation {self.relation!r}")
+        return residual > 0
 
 
 @dataclass(frozen=True)
@@ -132,13 +177,8 @@ class LinearFeasibilityProblem:
                 f"{len(self.variables)} variables exceed the supported maximum {MAX_VARIABLES}")
         if not self.constraints:
             raise ValueError("a feasibility problem needs at least one constraint")
-        for c in self.constraints:
-            if len(c.coeffs) != len(self.variables):
-                raise ValueError("constraint width does not match the variable count")
-            if c.relation not in ("ge", "eq", "gt"):
-                raise ValueError(f"unknown relation {c.relation!r}")
-            if not all(isinstance(v, (int, Fraction)) for v in (*c.coeffs, c.rhs)):
-                raise ValueError("constraint coefficients and rhs must be int or Fraction")
+        if any(len(c.ints) != len(self.variables) for c in self.constraints):
+            raise ValueError("constraint width does not match the variable count")
 
 
 @dataclass(frozen=True)
@@ -152,19 +192,19 @@ class FeasibilityResult:
         return self.status == Status.FEASIBLE
 
 
-def _reduced(row: dict[int, int]) -> dict[int, int]:
-    """The row divided by the gcd of its stored entries."""
-    g = math.gcd(*row.values())
-    return {k: v // g for k, v in row.items()} if g > 1 else row
+def _divide_content(row: dict[int, int], sign: int = 1) -> None:
+    """Divide the row by sign times the gcd of its stored entries, in place."""
+    g = sign * math.gcd(*row.values())
+    if g not in (0, 1):
+        for k in row:
+            row[k] //= g
 
 
 def _eliminate(row: dict[int, int], p: int, prow: dict[int, int], f: int) -> dict[int, int]:
     """Set row to p * row - f * prow in place, storing no zero entry, and
-    return it.  With g = gcd(p, f) divided out of both multipliers, p = 1
-    leaves row unscaled and only prow's keys are touched; otherwise the row
-    is scaled, updated and divided by the gcd of its entries."""
-    g = math.gcd(p, f)
-    p, f = p // g, f // g
+    return it.  p = 1 leaves row unscaled and only prow's keys are touched;
+    otherwise every entry is scaled first.  No common factor is divided
+    out."""
     if p != 1:
         for k in row:
             row[k] *= p
@@ -174,34 +214,25 @@ def _eliminate(row: dict[int, int], p: int, prow: dict[int, int], f: int) -> dic
             row[k] = w
         else:
             del row[k]
-    if p != 1:
-        g = math.gcd(*row.values())
-        if g > 1:
-            for k in row:
-                row[k] //= g
     return row
 
 
 def _pivot(tableau: list[dict[int, int]], zrow: dict[int, int], basis: list[int],
            i: int, j: int) -> None:
     """Make column j basic in row i by fraction-free elimination, and
-    eliminate column j from the objective row zrow the same way; every row
-    is updated in place.
+    eliminate column j from the objective row zrow the same way, in place.
 
     A row maps the column of each nonzero entry to that int, with a nonzero
-    rhs under key -1; it is its tableau row times an implicit positive
-    scale, so the basic entry of a row is that scale.  With p = tableau[i][j]
-    > 0 (row i is negated first when p < 0), p * R - f * R_i clears column j
-    of a row R with entry f and keeps its scale positive (``_eliminate``).
-    Only stored entries are read or written.  Signs, ratios and zero
-    patterns, all that the pivoting rules read, are those of the tableau.
+    rhs under key -1; it is its tableau row times a positive scale.  Row i
+    is divided by its content, and negated if its entry p in column j is
+    negative; then p * R - f * R_i clears column j of a row R with entry f
+    and keeps its scale positive (``_eliminate``).  Only stored entries are
+    read or written.  Signs, ratios and zero patterns, all that the
+    pivoting rules read, are those of the tableau.
     """
     prow = tableau[i]
+    _divide_content(prow, -1 if prow[j] < 0 else 1)
     p = prow[j]
-    if p < 0:
-        for k in prow:
-            prow[k] = -prow[k]
-        p = -p
     for r, row in enumerate(tableau):
         f = row.get(j)
         if f and r != i:
@@ -212,17 +243,32 @@ def _pivot(tableau: list[dict[int, int]], zrow: dict[int, int], basis: list[int]
         _eliminate(zrow, p, prow, f)
 
 
+def _step(tableau: list[dict[int, int]], zrow: dict[int, int], basis: list[int],
+          i: int, j: int, made: int) -> int:
+    """``_pivot`` as the solve's pivot made + 1, which is returned; after
+    every CONTENT_PERIOD-th pivot each row, zrow too, is divided by its
+    content, which bounds entry growth at a few gcd passes per row."""
+    _pivot(tableau, zrow, basis, i, j)
+    made += 1
+    if not made % CONTENT_PERIOD:
+        for row in tableau:
+            _divide_content(row)
+        _divide_content(zrow)
+    return made
+
+
 def _run_simplex(tableau: list[dict[int, int]], zrow: dict[int, int],
-                 basis: list[int]) -> dict[int, int]:
-    """Minimize with Bland's rule and return the optimal objective row; zrow
-    holds c_B B^-1 A - c and the objective value (negated cost convention)
-    under key -1.  The leaving row has the least (rhs / entry, basic
-    column), with ratios compared by cross-multiplication.  A phase that
-    needs more than PIVOTS_PER_ROW pivots per row raises."""
+                 basis: list[int], made: int) -> int:
+    """Minimize with Bland's rule, updating zrow to the optimal objective
+    row, and return the solve's pivot count, made before; zrow holds
+    c_B B^-1 A - c and the objective value (negated cost convention) under
+    key -1.  The leaving row has the least (rhs / entry, basic column),
+    with ratios compared by cross-multiplication.  A phase that needs more
+    than PIVOTS_PER_ROW pivots per row raises."""
     for _ in range(PIVOTS_PER_ROW * len(tableau) + 1):
         enter = min((j for j, v in zrow.items() if v > 0 and j >= 0), default=None)
         if enter is None:
-            return zrow
+            return made
         leave = None
         for r, row in enumerate(tableau):
             a = row.get(enter, 0)
@@ -235,7 +281,7 @@ def _run_simplex(tableau: list[dict[int, int]], zrow: dict[int, int],
                 leave, best_rhs, best_a = r, b, a
         if leave is None:
             raise RuntimeError("both simplex phases are bounded, yet a column is unbounded")
-        _pivot(tableau, zrow, basis, leave, enter)
+        made = _step(tableau, zrow, basis, leave, enter, made)
     raise SolverLimitError(f"a simplex phase needed more than {PIVOTS_PER_ROW} pivots per row")
 
 
@@ -256,14 +302,14 @@ def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
     t_col = 2 * nvars if has_strict else None
     ncols = 2 * nvars + (2 if has_strict else 0)
 
-    # each constraint row times its least common denominator, negated when
-    # the rhs is negative; dens[i] is that (positive) factor
+    # each constraint row times its den, negated when the rhs is negative;
+    # dens[i] is that (positive) factor
     tableau: list[dict[int, int]] = []
     dens: list[int] = []
     for c in lfp.constraints:
-        den, (*coeffs, rhs) = _cleared((*c.coeffs, c.rhs))
+        den, rhs = c.den, c.rhs_int
         sign = -1 if rhs < 0 else 1
-        row = {k: sign * v for k, v in enumerate(coeffs) if v}
+        row = {k: sign * v for k, v in enumerate(c.ints) if v}
         row.update({nvars + k: -v for k, v in row.items()})
         if c.relation != "eq":
             if c.relation == "gt":
@@ -287,9 +333,9 @@ def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
     for row, d in zip(tableau, dens):
         for k, v in row.items():
             zrow[k] = zrow.get(k, 0) + v * (common // d)
-    zrow = _reduced({k: v for k, v in zrow.items() if v})
-    tableau = [_reduced(row) for row in tableau]
-    if _run_simplex(tableau, zrow, basis).get(-1):
+    zrow = {k: v for k, v in zrow.items() if v}
+    made = _run_simplex(tableau, zrow, basis, 0)
+    if zrow.get(-1):
         return FeasibilityResult(Status.INFEASIBLE)
 
     # drive leftover artificials out of the basis; drop redundant rows
@@ -299,7 +345,7 @@ def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
             enter = min((j for j in tableau[i] if j >= 0), default=None)
             if enter is None:
                 continue  # redundant row
-            _pivot(tableau, {}, basis, i, enter)  # no objective is read past phase 1
+            made = _step(tableau, {}, basis, i, enter, made)  # no objective is read past phase 1
         keep.append(i)
     tableau = [tableau[i] for i in keep]
     basis = [basis[i] for i in keep]
@@ -311,13 +357,13 @@ def solve_feasibility(lfp: LinearFeasibilityProblem) -> FeasibilityResult:
             zrow = {k: -v for k, v in tableau[basis.index(t_col)].items() if k != t_col}
         else:
             zrow = {t_col: 1}
-        _run_simplex(tableau, zrow, basis)
+        _run_simplex(tableau, zrow, basis, made)
 
-    values = [Fraction(0)] * ncols
-    for row, b in zip(tableau, basis):
-        values[b] = Fraction(row.get(-1, 0), row[b])
-    assignment = tuple(values[k] - values[nvars + k] for k in range(nvars))
-    slack = values[t_col] if has_strict else None
+    zero = Fraction(0)
+    values = {b: Fraction(row.get(-1, 0), row[b]) for row, b in zip(tableau, basis)
+              if b < 2 * nvars or b == t_col}
+    assignment = tuple(values.get(k, zero) - values.get(nvars + k, zero) for k in range(nvars))
+    slack = values.get(t_col, zero) if has_strict else None
     if has_strict and slack <= 0:
         return FeasibilityResult(Status.INFEASIBLE, strict_slack=slack)
     return FeasibilityResult(Status.FEASIBLE, assignment, slack)
@@ -366,12 +412,11 @@ class MultiplierCertificate:
 def _int_residuals(constraints: Iterable[Constraint],
                    assignment: Sequence[Fraction]) -> Iterator[tuple[int, int]]:
     """(num, den) per constraint with value - rhs = num / den: with the
-    assignment over one common denominator d and a row's coefficients and
-    rhs over their own e, den = e * d > 0, so num has the residual's sign."""
+    assignment over one common denominator d and a row over its own den,
+    den = den * d > 0, so num has the residual's sign."""
     d, nums = _cleared(assignment)
     for c in constraints:
-        e, (*coeffs, rhs) = _cleared((*c.coeffs, c.rhs))
-        yield sum(v * n for v, n in zip(coeffs, nums) if v) - rhs * d, e * d
+        yield sum(v * n for v, n in zip(c.ints, nums) if v) - c.rhs_int * d, c.den * d
 
 
 def _certificate(lfp: LinearFeasibilityProblem, result: FeasibilityResult,
@@ -430,9 +475,9 @@ def default_corrections(K: PolyhedralCone, D: PolyhedralCone) -> list[Correction
 
 
 def _pad(coeff_y: RationalVector | None, coeff_z: RationalVector | None,
-         y_dim: int, z_dim: int) -> tuple[Fraction, ...]:
-    ys = tuple(coeff_y.coords) if coeff_y is not None else (Fraction(0),) * y_dim
-    zs = tuple(coeff_z.coords) if coeff_z is not None else (Fraction(0),) * z_dim
+         y_dim: int, z_dim: int) -> tuple[Fraction | int, ...]:
+    ys = tuple(coeff_y.coords) if coeff_y is not None else (0,) * y_dim
+    zs = tuple(coeff_z.coords) if coeff_z is not None else (0,) * z_dim
     return ys + zs
 
 
@@ -442,22 +487,21 @@ def _prefix(K: PolyhedralCone, D: PolyhedralCone,
     complementarity equality <zstar, comp_slack> = 0 when the mode carries
     one, then the scale-fixing equality."""
     y_dim, z_dim = K.dim, D.dim
-    rows = [Constraint(_pad(g, None, y_dim, z_dim), "ge", Fraction(0), "ystar-dual-cone")
+    rows = [Constraint(_pad(g, None, y_dim, z_dim), "ge", 0, "ystar-dual-cone")
             for g in K.generators]
-    rows += [Constraint(_pad(None, g, y_dim, z_dim), "ge", Fraction(0), "zstar-dual-cone")
+    rows += [Constraint(_pad(None, g, y_dim, z_dim), "ge", 0, "zstar-dual-cone")
              for g in D.generators]
     if comp_slack is not None:
-        rows.append(Constraint(_pad(None, comp_slack, y_dim, z_dim), "eq", Fraction(0),
-                               "complementarity"))
+        rows.append(Constraint(_pad(None, comp_slack, y_dim, z_dim), "eq", 0, "complementarity"))
     rows.append(Constraint(_pad(K.interior_point(), D.interior_point(), y_dim, z_dim),
-                           "eq", Fraction(1), SCALE_FIXING_LABEL))
+                           "eq", 1, SCALE_FIXING_LABEL))
     return rows
 
 
 def _system(constraints: Sequence[Constraint], y_dim: int) -> LinearFeasibilityProblem:
     """The constraints as a system in the unknowns y0.. (ystar) and z0.. (zstar)."""
     names = tuple(f"y{i}" if i < y_dim else f"z{i - y_dim}"
-                  for i in range(len(constraints[0].coeffs)))
+                  for i in range(len(constraints[0].ints)))
     return LinearFeasibilityProblem(names, tuple(constraints))
 
 
@@ -500,45 +544,44 @@ def _ystar_strict_rows(K: PolyhedralCone, D: PolyhedralCone, target: str) -> lis
     y_dim, z_dim = K.dim, D.dim
     if target == TARGET_WEAK:
         K.interior_normals()  # the row below needs an interior point of K: refuse a K without one
-        return [Constraint(_pad(K.interior_point(), None, y_dim, z_dim), "gt",
-                           Fraction(0), "ystar-nonzero")]
+        return [Constraint(_pad(K.interior_point(), None, y_dim, z_dim), "gt", 0, "ystar-nonzero")]
     if target == TARGET_PROPER:
-        rows = [Constraint(_pad(b, None, y_dim, z_dim), "eq", Fraction(0),
-                           "ystar-vanishes-on-lineality")
+        rows = [Constraint(_pad(b, None, y_dim, z_dim), "eq", 0, "ystar-vanishes-on-lineality")
                 for b in K.lineality_basis]
-        rows += [Constraint(_pad(g, None, y_dim, z_dim), "gt", Fraction(0),
-                            "ystar-strict-polar")
+        rows += [Constraint(_pad(g, None, y_dim, z_dim), "gt", 0, "ystar-strict-polar")
                  for g in K.generators if not K.contains(-g)]
         return rows
     raise ValueError(f"unknown target {target!r}")
 
 
-def _grid_rows(entries: Iterable[tuple[RationalVector, int, Sequence[int], int, Sequence[int]]],
-               K: PolyhedralCone, D: PolyhedralCone, label: str) -> list[Constraint]:
+def _grid_rows(points: Iterable[RationalVector], sy: int, ys: Iterable[Sequence[int]],
+               sz: int, zs: Iterable[Sequence[int]], K: PolyhedralCone, D: PolyhedralCone,
+               label: str) -> list[Constraint]:
     """Nonnegativity rows, with exact pruning and deduplication.
 
-    Each entry (x, sy, cy, sz, cz) is the row (cy / sy; cz / sz) at the
-    point x, as int vectors over positive scales.  Rows whose coefficient
-    vectors lie in the primal cones are implied by the dual-cone
-    constraints and are dropped; zero rows are trivially true; homogeneous
-    rows equal up to positive scaling collapse to one.  All three tests
-    read the ints; only the rows kept become ``Fraction`` constraints,
-    labelled "<label> x=<x>".
+    The row at each point x is (cy / sy; cz / sz), for its int vectors cy
+    of ys and cz of zs over the positive scales sy and sz.  Rows whose
+    coefficient vectors lie in the primal cones are implied by the
+    dual-cone constraints and are dropped; zero rows are trivially true;
+    homogeneous rows equal up to positive scaling collapse to one.  All
+    three tests read the ints, and each row kept becomes a ``Constraint``
+    from its ints over lcm(sy, sz), labelled "<label> x=<x>" when read.
     """
     out: list[Constraint] = []
     seen: set[tuple[int, ...]] = set()
-    for x, sy, cy, sz, cz in entries:
+    common = math.lcm(sy, sz)
+    fy, fz = common // sy, common // sz
+    for x, cy, cz in zip(points, ys, zs):
         if not any(cy) and not any(cz):
             continue
         if all(_dot(a, cy) >= 0 for a in K.normals) and all(_dot(b, cz) >= 0 for b in D.normals):
             continue
-        common = math.lcm(sy, sz)
-        key = _int_primitive([v * (common // sy) for v in cy] + [v * (common // sz) for v in cz])
+        ints = [v * fy for v in cy] + [v * fz for v in cz]
+        key = _int_primitive(ints)
         if key in seen:
             continue
         seen.add(key)
-        coeffs = tuple(Fraction(v, sy) for v in cy) + tuple(Fraction(v, sz) for v in cz)
-        out.append(Constraint(coeffs, "ge", Fraction(0), f"{label} x={x}"))
+        out.append(Constraint(ints, "ge", 0, label, common, x))
     return out
 
 
@@ -564,8 +607,10 @@ def alternative_system(Fmap: VectorMap, Gmap: VectorMap, K: PolyhedralCone,
     but a map and cone of different dimensions are refused there.  An
     infeasible multiplier system with no grid solution is surfaced as
     GridGap, which cannot happen when the strict system is insoluble over
-    the whole convex domain rather than merely on the grid.
+    the whole convex domain rather than merely on the grid.  A K or D with
+    empty interior is refused first, before any scan or table.
     """
+    K_normals, D_normals = K.interior_normals(), D.interior_normals()
     warnings = []
     for vmap, cone, name in ((Fmap, K, "F"), (Gmap, D, "G")):
         verdict = check_convexlike(vmap, cone, C_grid)
@@ -576,13 +621,11 @@ def alternative_system(Fmap: VectorMap, Gmap: VectorMap, K: PolyhedralCone,
                 f"(witness {x1}, {x2}, lambda={format_rational(lam)})")
     table = C_grid.table(Fmap.exception_points() + Gmap.exception_points())
     Ft, Gt = table.values(Fmap), table.values(Gmap)
-    K_normals, D_normals = K.interior_normals(), D.interior_normals()
-    entries = []
     for x, fy, gy in zip(table.points, Ft.rows, Gt.rows):
         if all(_dot(a, fy) < 0 for a in K_normals) and all(_dot(b, gy) < 0 for b in D_normals):
             return AlternativeOutcome(Status.SOLUTION_EXISTS, x=x, warnings=tuple(warnings))
-        entries.append((x, Ft.scale, fy, Gt.scale, gy))
-    certificate = _solve_multipliers(_prefix(K, D), _grid_rows(entries, K, D, "value-row"), K.dim)
+    rows = _grid_rows(table.points, Ft.scale, Ft.rows, Gt.scale, Gt.rows, K, D, "value-row")
+    certificate = _solve_multipliers(_prefix(K, D), rows, K.dim)
     return AlternativeOutcome(Status.GRID_GAP if certificate is None else Status.MULTIPLIERS,
                               certificate=certificate, warnings=tuple(warnings))
 
@@ -639,13 +682,12 @@ def _subgradient_rows(problem: DCProblem, values: tuple, T: LinearOperator,
                           xbar, local)
     sz, zs = table.affine(problem.H, H_base, L.matrix, RationalVector.zero(problem.z_dim),
                           xbar, local)
-    return _grid_rows(((x, sy, cy, sz, cz) for x, cy, cz in zip(points, ys, zs)),
-                      problem.K, problem.D, "subgradient-row")
+    return _grid_rows(points, sy, ys, sz, zs, problem.K, problem.D, "subgradient-row")
 
 
 def _zero_rows(first: int, count: int, width: int, label: str) -> list[Constraint]:
     """Unit equalities forcing the unknowns first .. first + count - 1 to zero."""
-    return [Constraint(tuple(Fraction(int(k == i)) for k in range(width)), "eq", Fraction(0), label)
+    return [Constraint(tuple(int(k == i) for k in range(width)), "eq", 0, label)
             for i in range(first, first + count)]
 
 

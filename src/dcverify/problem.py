@@ -310,8 +310,8 @@ class PointTable:
     at every point, one positive scale per map, computed the first time a
     map is asked for: each map is evaluated at most once per point, and
     exceptional values override.  The engines compare integer pairings of
-    these rows with the cone normals; only witnesses and the LP rows that
-    survive pruning turn back into Fractions.  `flags` keeps, per problem
+    these rows with the cone normals; only witnesses turn back into
+    Fractions, and LP rows stay ints over a den.  `flags` keeps, per problem
     whose certification list this is, the feasibility flag of every point,
     in list order, and that of xbar (`pareto.feasibility`).
     Maps and problems are keyed by identity, and each entry keeps its key

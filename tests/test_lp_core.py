@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -179,7 +180,8 @@ def reference_eliminate(row: dict[int, int], p: int, prow: dict[int, int],
             new[k] = w
         else:
             del new[k]
-    return multipliers._reduced(new)
+    g = math.gcd(*new.values())
+    return {k: v // g for k, v in new.items()} if g > 1 else new
 
 
 def reference_pivot(tableau: list[dict[int, int]], zrow: dict[int, int], basis: list[int],
@@ -539,15 +541,93 @@ def test_split_grid_systems_get_the_full_system_certificate(split):
     assert multipliers._solve_multipliers(prefix, rows, y_dim) == full
 
 
-MIX_00 = Path(__file__).parent / "problems" / "mix-00.problem"
+PROBLEMS = Path(__file__).parent / "problems"
+MIX_00 = PROBLEMS / "mix-00.problem"
 
 
-def legacy_necessary(capsysbinary, points: int) -> bytes:
-    """The machine report of ``check necessary --mode legacy-gl`` on the
-    2-D corpus problem mix-00 at the given grid."""
-    assert main(["check", "necessary", "--problem", str(MIX_00), "--mode", "legacy-gl",
+def legacy_necessary(capsysbinary, points: int, path: Path = MIX_00) -> bytes:
+    """The machine report of ``check necessary --mode legacy-gl`` on a
+    corpus problem (the 2-D mix-00 by default) at the given grid."""
+    assert main(["check", "necessary", "--problem", str(path), "--mode", "legacy-gl",
                  "--grid", str(points), "--format", "machine"]) == 0
     return capsysbinary.readouterr().out
+
+
+def oracle_pivots(lfp: LinearFeasibilityProblem, monkeypatch) -> tuple[FeasibilityResult, list]:
+    """The dense oracle's result on the rows as Fractions, and the (row,
+    column) of every pivot it made."""
+    sequence = []
+    pivot = oracle_pivot
+
+    def step(tableau, zrow, basis, i, j):
+        sequence.append((i, j))
+        pivot(tableau, zrow, basis, i, j)
+
+    with monkeypatch.context() as m:
+        m.setattr(sys.modules[__name__], "oracle_pivot", step)
+        return oracle_solve_feasibility(lfp), sequence
+
+
+def test_rows_keep_their_scale_through_den(monkeypatch, capsysbinary):
+    """A row is its ints over den, and the phase-1 objective sums the rows
+    at that scale.  The legacy necessary check of the corpus problem mix-01
+    at grid 7 poses rows with den up to 128.  Read as ints over den, each of
+    its systems takes the pivots, and reaches the vertex, that the dense
+    oracle takes on the same rows as Fractions; a row posed as scaled ints
+    over a scaled den is the same row.  The certified vertex is ystar =
+    (1, 0); summed without den, as primitive rows, the objective leads to
+    ystar = (4/11, 7/11)."""
+    posed = engine_systems(monkeypatch)
+    report = json.loads(legacy_necessary(capsysbinary, 7, PROBLEMS / "mix-01.problem"))
+    assert report["results"][0]["data"]["ystar"] == ["1", "0"]
+    assert max(c.den for lfp in posed for c in lfp.constraints) == 128
+    for lfp in posed:
+        for c in lfp.constraints:
+            assert c == Constraint(c.coeffs, c.relation, c.rhs, c.label) == Constraint(
+                [3 * v for v in c.ints], c.relation, 3 * c.rhs_int, c.label, den=3 * c.den)
+        assert solve_with_pivot(lfp, multipliers._pivot) == oracle_pivots(lfp, monkeypatch)
+
+
+# no tableau entry of the systems below grows past this many bits
+ENTRY_BITS = 256
+
+
+def largest_entry_bits(lfp: LinearFeasibilityProblem) -> int:
+    """The bit length of the largest tableau entry, objective rows
+    included, after any pivot of the solve."""
+    most = 0
+    pivot = multipliers._pivot
+
+    def step(tableau, zrow, basis, i, j):
+        nonlocal most
+        pivot(tableau, zrow, basis, i, j)
+        most = max(most, *(abs(v).bit_length() for row in (*tableau, zrow) for v in row.values()))
+
+    with mock.patch.object(multipliers, "_pivot", step):
+        solve_feasibility(lfp)
+    return most
+
+
+def test_division_schedule_bounds_entry_growth(monkeypatch, capsysbinary):
+    """Rows other than the pivot row keep their content through a pivot,
+    and every CONTENT_PERIOD pivots each row is divided by its content.
+    On the long systems above (example-4-1's corrected sufficient check at
+    grids 65 and 101, the example-3-1 scenario) and on the four 106-row
+    LPs of a notched problem's corrected sufficient check at grid 401, no
+    entry passes ENTRY_BITS: the largest reach 50 and 224 bits, against 211
+    and 2,398 with no division past the pivot row.  Every system takes the
+    reference's pivots."""
+    posed = engine_systems(monkeypatch)
+    corrected_sufficient("example-4-1", 65)
+    corrected_sufficient("example-4-1", 101)
+    run_scenario("example-3-1")
+    assert main(["check", "sufficient", "--problem", str(PROBLEMS / "notched-1.problem"),
+                 "--mode", "corrected", "--grid", "401"]) == 0
+    assert b"AllCandidatesCertified" in capsysbinary.readouterr().out
+    assert [len(lfp.constraints) for lfp in posed][-4:] == [106] * 4
+    for lfp in posed:
+        reference_checked(lfp)
+        assert largest_entry_bits(lfp) <= ENTRY_BITS
 
 
 def test_long_infeasible_systems_are_decided_on_a_few_rows(monkeypatch, capsysbinary):

@@ -151,6 +151,30 @@ class TestSolveFeasibility:
         lfp = LinearFeasibilityProblem(("a",), (Constraint((2,), "eq", 1),))
         assert solve_feasibility(lfp).assignment == (HALF,)
 
+    @pytest.mark.parametrize("ints, relation, rhs, den, message", [
+        ((1, 0.5), "ge", 0, 2, "int or Fraction"),
+        ((1, 2), "ge", 1.0, 2, "int or Fraction"),
+        ((1, 2), "le", 0, 2, "unknown relation 'le'"),
+        ((1, 2), "ge", 0, 0, "positive int"),
+        ((1, 2), "ge", 0, -3, "positive int"),
+        ((1, 2), "ge", 0, 2.0, "positive int"),
+        ((1, 2), "ge", 0, True, "positive int"),
+    ], ids=["float-coefficient", "float-rhs", "unknown-relation", "zero-den", "negative-den",
+            "float-den", "bool-den"])
+    def test_int_rows_are_refused_when_built(self, ints, relation, rhs, den, message):
+        with pytest.raises(ValueError, match=message):
+            Constraint(ints, relation, rhs, den=den)
+
+    def test_int_rows_over_den_are_exact_rationals(self):
+        """A row is its ints over den, in lowest terms, whether it was posed
+        as ints over a den or as Fractions."""
+        row = Constraint((2, -4), "ge", 6, "r", den=4)
+        assert (row.ints, row.rhs_int, row.den) == ((1, -2), 3, 2)
+        assert (row.coeffs, row.rhs) == ((HALF, F(-1)), F(3, 2))
+        assert row == Constraint((HALF, F(-1)), "ge", F(3, 2), "r")
+        lfp = LinearFeasibilityProblem(("a", "b"), (row, Constraint((0, 3), "eq", 1, den=6)))
+        assert solve_feasibility(lfp).assignment == (F(11, 3), F(1, 3))
+
 
 class TestAlternativeSystem:
     def test_opposite_linear_maps_yield_multipliers(self):
@@ -228,6 +252,31 @@ class TestAlternativeSystem:
         assert "interior empty" in capsys.readouterr().err
         assert solves == []
 
+    def test_refuses_empty_interior_before_scans_and_tables(self, monkeypatch, tmp_path, capsys):
+        """The K and D interior guards come first: on the D-ray probe with
+        F = x^2 the check is refused with no convexlike scan and no point
+        table built, and with the message and exit status it had."""
+        scans, tables = [], []
+        convexlike, build = multipliers.check_convexlike, GridSpec._build_table
+
+        def scan(*args):
+            scans.append(args)
+            return convexlike(*args)
+
+        def table(self, *args):
+            tables.append(args)
+            return build(self, *args)
+
+        monkeypatch.setattr(multipliers, "check_convexlike", scan)
+        monkeypatch.setattr(GridSpec, "_build_table", table)
+        path = ray_problem_file(tmp_path / "ray-d.problem", 1, 2, "generator = 1",
+                                "generator = 1 1", "poly 0 = 1 2", "poly 0 = 1 1\npoly 1 = 1 1",
+                                "poly 0 = 1 1\npoly 1 = 1 1", "[candidates]\nT = 0\nL = 0 0\n")
+        assert main(["check", "alternative", "--problem", path, "--grid", "5"]) == 1
+        assert capsys.readouterr().err == \
+            "dcverify: error: interior empty: cone is not full-dimensional\n"
+        assert scans == [] and tables == []
+
     def test_non_convexlike_inputs_warn_but_run(self):
         two_valued = VectorMap(1, 2, ((), ()),
                                ((V(0), V(0, 1)), (V(1), V(1, 0))))
@@ -267,8 +316,11 @@ def test_grid_rows_key_groups_rows_as_primitive_does(rows):
             seen.add(v.primitive())
             kept.append((f"row x={k}", v.coords))
     # the rows go in as ints over one scale per side, as the engines pass them
-    entries = [(k, *_cleared(y.coords), *_cleared(z.coords)) for k, (y, z) in enumerate(vectors)]
-    assert [(c.label, c.coeffs) for c in _grid_rows(entries, RAY, orthant, "row")] == kept
+    sy, ys = _cleared([y.coords[0] for y, _ in vectors])
+    sz, zs = _cleared([c for _, z in vectors for c in z.coords])
+    rows = _grid_rows(range(len(vectors)), sy, [[v] for v in ys], sz, zip(zs[::2], zs[1::2]),
+                      RAY, orthant, "row")
+    assert [(c.label, c.coeffs) for c in rows] == kept
 
 
 class TestSufficientCondition:
@@ -518,6 +570,57 @@ class TestCertificates:
                 assert not any(assignment) and str(exc) == "multiplier assignment is all zero"
         else:
             assert not broken and any(assignment) and cert.residuals == residuals
+
+    @given(st.data())
+    def test_int_rows_check_as_fraction_rows(self, data):
+        """Rows posed as ints over a den are checked as the same rows were
+        as Fractions: `_certificate` keeps the residuals value - rhs summed
+        in Fractions and refuses exactly when a row breaks or every
+        multiplier vanishes, and `verify`, at positive rescalings and with
+        or without the scale-fixing row, agrees with the Fraction
+        relations.  Each row's ints are d times a small vector, so that
+        its value at the assignment (over d) is an integer over den and
+        zero residuals occur."""
+        n, d = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 4))
+        nums = data.draw(st.tuples(*[st.integers(-6, 6)] * n))
+        assignment = tuple(F(m, d) for m in nums)
+        rows, fraction_rows = [], []
+        for k in range(data.draw(st.integers(1, 4))):
+            w = data.draw(st.tuples(*[st.integers(-3, 3)] * n))
+            den = data.draw(st.integers(1, 6))
+            relation = data.draw(st.sampled_from(("ge", "eq", "gt")))
+            rhs = sum(a * m for a, m in zip(w, nums)) - data.draw(st.sampled_from([0, 0, 1, -1, 2]))
+            label = multipliers.SCALE_FIXING_LABEL if k == 0 else ""
+            rows.append(Constraint(tuple(d * a for a in w), relation, rhs, label, den=den))
+            fraction_rows.append((tuple(F(d * a, den) for a in w), relation, F(rhs, den)))
+
+        def residuals(values):
+            return tuple(sum((c * v for c, v in zip(coeffs, values)), F(0)) - rhs
+                         for coeffs, _, rhs in fraction_rows)
+
+        def holds(residual, relation):
+            return residual >= 0 if relation == "ge" else (
+                residual == 0 if relation == "eq" else residual > 0)
+
+        lfp = LinearFeasibilityProblem(tuple(f"v{k}" for k in range(n)), tuple(rows))
+        expected = residuals(assignment)
+        broken = [r for r, (_, relation, _) in zip(expected, fraction_rows)
+                  if not holds(r, relation)]
+        try:
+            cert = _certificate(lfp, FeasibilityResult("Feasible", assignment), 1)
+        except RuntimeError:
+            assert broken or not any(assignment)
+        else:
+            assert not broken and any(assignment) and cert.residuals == expected
+        cert = multipliers.MultiplierCertificate(V(*assignment[:1]), V(*assignment[1:]),
+                                                 expected, lfp)
+        for scale in (1, F(3, 2), F(1, 7)):
+            scaled = residuals(tuple(scale * v for v in assignment))
+            for skip in (False, True):
+                kept = [holds(r, relation) for r, (_, relation, _), c
+                        in zip(scaled, fraction_rows, rows)
+                        if not (skip and c.label == multipliers.SCALE_FIXING_LABEL)]
+                assert cert.verify(skip, scale) == (all(kept) and any(assignment))
 
     def test_certificate_of_solver_result_is_checked(self):
         lfp = LinearFeasibilityProblem(("y0", "z0"), (
