@@ -65,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_check(args: argparse.Namespace) -> Report:
     """Parse the file, default the candidates, resolve --grid/--radius, and
     run the one result builder for the requested check kind."""
-    parsed = parse_problem(Path(args.problem).read_text(encoding="utf-8"))
+    path = Path(args.problem)
+    parsed = parse_problem(path.read_text(encoding="utf-8"))
     problem = parsed.problem
     # absent candidate lists default to the gradients at the base point;
     # the second operator quantifier ranges over the constraint map that the
@@ -80,10 +81,10 @@ def _run_check(args: argparse.Namespace) -> Report:
     grid = GridSpec(problem.C, grid_points)
     U = NeighborhoodSpec(radius)
 
-    echo = f"check {args.what} --problem {Path(args.problem).name}"
+    echo = f"check {args.what} --problem {path.name}"
     if args.what in ("sufficient", "necessary"):
         echo += f" --mode {args.mode} --target {args.target}"
-    return Report(command=echo, problem=Path(args.problem).name,
+    return Report(command=echo, problem=path.name,
                   options={"grid": str(grid_points), "radius": format_rational(radius)},
                   results=check_results(args.what, parsed, U, grid, args.mode, args.target))
 

@@ -26,7 +26,6 @@ with no rank test.  Ambient dimensions above 4 are rejected at construction.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -34,8 +33,6 @@ from operator import mul
 from typing import Sequence
 
 MAX_CONE_DIM = 4
-
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 class ConeError(ValueError):
@@ -50,20 +47,32 @@ class DimensionMismatchError(ValueError):
     """Operands live in different ambient dimensions."""
 
 
+def is_integer_literal(text: str) -> bool:
+    """Whether ``text`` is an optional sign, then decimal digits."""
+    return (text[1:] if text[:1] in "+-" else text).isdecimal()
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse an integer or ``p/q`` literal.  Decimal notation is rejected."""
+    """Parse an integer or ``p/q`` literal.  Decimal notation is rejected.
+
+    After ``strip()`` the language is ``[+-]?\\d+(/\\d+)?``, a digit being
+    any Unicode decimal digit (category Nd: ``str.isdecimal``, as ``\\d``)."""
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    num, slash, den = text.partition("/")
+    if not is_integer_literal(num) or slash and not den.isdecimal():
         raise ValueError(f"not an integer or p/q rational literal: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational literal: {text!r}") from None
+    if not slash:
+        return Fraction(int(num))
+    p, q = int(num), int(den)
+    if q == 0:
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
+    return Fraction(p, q)
 
 
 def format_rational(value: Fraction) -> str:
     """Render a rational as ``p`` or ``p/q`` (never a decimal)."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -89,8 +98,10 @@ class RationalVector:
     def __post_init__(self) -> None:
         if len(self.coords) == 0:
             raise ValueError("empty vector")
-        if any(type(c) is not Fraction for c in self.coords):
-            object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        for c in self.coords:
+            if type(c) is not Fraction:
+                object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+                break
 
     @classmethod
     def of(cls, *values: Fraction | int | str) -> "RationalVector":
@@ -192,8 +203,10 @@ def _int_rref(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[Sequence[i
     pivots: list[int] = []
     for col in range(cols):
         k = len(pivots)
-        found = next((r for r in range(k, len(mat)) if mat[r][col]), None)
-        if found is None:
+        for found in range(k, len(mat)):
+            if mat[found][col]:
+                break
+        else:
             continue
         mat[k], mat[found] = mat[found], mat[k]
         prow, pv = mat[k], mat[k][col]
@@ -256,7 +269,7 @@ def _dd_rays(normals: Sequence[IntRow], dim: int) -> list[IntRow]:
     contains their common zero set.  So every step keeps exactly one ray
     per extreme-ray class.  All arithmetic is on primitive integer vectors.
     """
-    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    lineality = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
     rays: list[tuple[IntRow, frozenset[int]]] = []
     for k, a in enumerate(normals):
         cut = next((i for i, v in enumerate(lineality) if _dot(a, v)), None)
@@ -268,7 +281,8 @@ def _dd_rays(normals: Sequence[IntRow], dim: int) -> list[IntRow]:
 
             def along(v: IntRow) -> IntRow:
                 s = _dot(a, v)
-                return _int_primitive([al * x - s * y for x, y in zip(v, l)])
+                # v is primitive, so on a-perp it stays as it is
+                return _int_primitive([al * x - s * y for x, y in zip(v, l)]) if s else v
 
             lineality = [along(v) for v in lineality]
             rays = [(along(r), z | {k}) for r, z in rays]
@@ -276,10 +290,11 @@ def _dd_rays(normals: Sequence[IntRow], dim: int) -> list[IntRow]:
             continue
         signed = [(r, z, _dot(a, r)) for r, z in rays]
         new_rays = [(r, z | {k} if s == 0 else z) for r, z, s in signed if s >= 0]
+        minus = [(r, z, s) for r, z, s in signed if s < 0]
         for rp, zp, sp in signed:
-            for rm, zm, sm in signed:
+            for rm, zm, sm in minus if sp > 0 else ():
                 common = zp & zm
-                if sp > 0 > sm and sum(common <= z for _, z in rays) == 2:
+                if sum(common <= z for _, z in rays) == 2:
                     combo = [sp * m - sm * p for p, m in zip(rp, rm)]
                     new_rays.append((_int_primitive(combo), common | {k}))
         rays = new_rays
@@ -322,7 +337,8 @@ class PolyhedralCone:
     as point sets compare equal as dataclasses regardless of the generating
     vectors they were built from.  Generators of the lineality part appear as
     +-pairs; all stored vectors are primitive integer vectors.  ``normals``
-    holds the halfspaces as int tuples, for membership tests.
+    holds the halfspaces as int tuples, for membership tests, and
+    ``generator_rows`` the generators, for integer sums and LP rows.
     """
 
     dim: int
@@ -331,6 +347,7 @@ class PolyhedralCone:
     lineality_basis: tuple[RationalVector, ...]
     full_dimensional: bool
     normals: tuple[IntRow, ...] = field(init=False, repr=False, compare=False)
+    generator_rows: tuple[IntRow, ...] = field(init=False, repr=False, compare=False)
 
     @classmethod
     def from_generators(cls, generators: Sequence[RationalVector | Sequence]) -> "PolyhedralCone":
@@ -341,12 +358,15 @@ class PolyhedralCone:
         dim = gens[0].dim
         if dim > MAX_CONE_DIM:
             raise ConeError(f"ambient dimension {dim} exceeds supported maximum {MAX_CONE_DIM}")
+        rows = set()
         for g in gens:
             if g.dim != dim:
                 raise DimensionMismatchError("generators of mixed dimension")
-            if g.is_zero():
+            row = _cleared(g.coords)[1]
+            if not any(row):
                 raise ConeError("zero vector is not allowed as a generator")
-        gen_rows = sorted({_int_primitive(_cleared(g.coords)[1]) for g in gens})
+            rows.add(_int_primitive(row))
+        gen_rows = sorted(rows)
         # halfspaces of the cone = canonical V-form of its dual
         dual_lin, dual_reps = _vform_of_hcone(gen_rows, dim)
         halfspace_rows = _rows(dual_lin, dual_reps)
@@ -392,6 +412,7 @@ class PolyhedralCone:
         cone = cls(dim, tuple(map(_vector, generators)), tuple(map(_vector, halfspaces)),
                    tuple(map(_vector, lineality)), full)
         object.__setattr__(cone, "normals", tuple(halfspaces))
+        object.__setattr__(cone, "generator_rows", tuple(generators))
         return cone
 
     def contains(self, v: RationalVector, strict: bool = False) -> bool:
@@ -411,10 +432,7 @@ class PolyhedralCone:
 
     def interior_point(self) -> RationalVector:
         """Sum of the generators; strictly interior when full-dimensional."""
-        total = RationalVector.zero(self.dim)
-        for g in self.generators:
-            total = total + g
-        return total
+        return _vector(tuple(map(sum, zip(*self.generator_rows))))
 
     def __str__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)

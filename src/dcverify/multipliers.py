@@ -378,12 +378,18 @@ SCALE_FIXING_LABEL = "scale-fixing"
 
 @dataclass(frozen=True)
 class MultiplierCertificate:
-    """Exact multiplier pair with per-constraint residuals."""
+    """Exact multiplier pair with per-constraint residuals, kept as the
+    integer pairs (num, den) of `_int_residuals`."""
 
     ystar: RationalVector
     zstar: RationalVector
-    residuals: tuple[Fraction, ...]
+    int_residuals: tuple[tuple[int, int], ...]
     lfp: LinearFeasibilityProblem
+
+    @property
+    def residuals(self) -> tuple[Fraction, ...]:
+        """value - rhs per constraint."""
+        return tuple(Fraction(num, den) for num, den in self.int_residuals)
 
     def assignment(self) -> tuple[Fraction, ...]:
         return tuple(self.ystar.coords) + tuple(self.zstar.coords)
@@ -428,13 +434,12 @@ def _certificate(lfp: LinearFeasibilityProblem, result: FeasibilityResult,
     The check runs on integers (``_int_residuals``)."""
     assignment = result.assignment
     assert assignment is not None
-    residuals = []
-    for c, (num, den) in zip(lfp.constraints, _int_residuals(lfp.constraints, assignment)):
-        residual = Fraction(num, den)
+    residuals = list(_int_residuals(lfp.constraints, assignment))
+    for c, (num, den) in zip(lfp.constraints, residuals):
         if not c.residual_holds(num):
+            residual = format_rational(Fraction(num, den))
             raise RuntimeError(f"multiplier assignment breaks the {c.label or 'unlabelled'} "
-                               f"row ({c.relation}, residual {format_rational(residual)})")
-        residuals.append(residual)
+                               f"row ({c.relation}, residual {residual})")
     if not any(assignment):
         raise RuntimeError("multiplier assignment is all zero")
     ystar = RationalVector(assignment[:y_dim])
@@ -474,10 +479,10 @@ def default_corrections(K: PolyhedralCone, D: PolyhedralCone) -> list[Correction
 # ---------------------------------------------------------------------------
 
 
-def _pad(coeff_y: RationalVector | None, coeff_z: RationalVector | None,
+def _pad(coeff_y: Sequence[Fraction | int] | None, coeff_z: Sequence[Fraction | int] | None,
          y_dim: int, z_dim: int) -> tuple[Fraction | int, ...]:
-    ys = tuple(coeff_y.coords) if coeff_y is not None else (0,) * y_dim
-    zs = tuple(coeff_z.coords) if coeff_z is not None else (0,) * z_dim
+    ys = tuple(coeff_y) if coeff_y is not None else (0,) * y_dim
+    zs = tuple(coeff_z) if coeff_z is not None else (0,) * z_dim
     return ys + zs
 
 
@@ -488,9 +493,9 @@ def _prefix(K: PolyhedralCone, D: PolyhedralCone,
     one, then the scale-fixing equality."""
     y_dim, z_dim = K.dim, D.dim
     rows = [Constraint(_pad(g, None, y_dim, z_dim), "ge", 0, "ystar-dual-cone")
-            for g in K.generators]
+            for g in K.generator_rows]
     rows += [Constraint(_pad(None, g, y_dim, z_dim), "ge", 0, "zstar-dual-cone")
-             for g in D.generators]
+             for g in D.generator_rows]
     if comp_slack is not None:
         rows.append(Constraint(_pad(None, comp_slack, y_dim, z_dim), "eq", 0, "complementarity"))
     rows.append(Constraint(_pad(K.interior_point(), D.interior_point(), y_dim, z_dim),

@@ -3,6 +3,8 @@
 A problem file is UTF-8 text describing one DC problem instance, the
 candidate operators, and run options.  All numbers are integers or ``p/q``
 rational literals; decimal notation is rejected so the parse is exact.
+Dimensions, the grid, poly indices and exponents are integer literals: an
+optional sign, then decimal digits (no underscore).
 
     # comment lines start with '#'
     [spaces]
@@ -54,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cones import PolyhedralCone, RationalVector, parse_rational
+from .cones import PolyhedralCone, RationalVector, is_integer_literal, parse_rational
 from .multipliers import CorrectionPair
 from .pareto import DEFAULT_RADIUS, DEFAULT_SHEARS
 from .problem import BoxSet, DCProblem, Monomial, VectorMap
@@ -107,11 +109,23 @@ def _rat(token: str, line: int) -> Fraction:
         raise ProblemFileError(line, str(exc)) from None
 
 
+def _integer(text: str) -> int | None:
+    """``text`` as an integer literal the way `parse_rational` reads one (an
+    optional sign, then decimal digits), or None."""
+    try:
+        return int(text) if is_integer_literal(text) else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def _rat_list(text: str, line: int) -> list[Fraction]:
     tokens = text.split()
     if not tokens:
         raise ProblemFileError(line, "expected at least one rational value")
-    return [_rat(t, line) for t in tokens]
+    try:
+        return list(map(parse_rational, tokens))
+    except ValueError as exc:
+        raise ProblemFileError(line, str(exc)) from None
 
 
 def _vector(text: str, line: int, dim: int, what: str) -> RationalVector:
@@ -123,9 +137,10 @@ def _vector(text: str, line: int, dim: int, what: str) -> RationalVector:
 
 def _split_sections(text: str) -> dict[str, list[tuple[int, str, str]]]:
     sections: dict[str, list[tuple[int, str, str]]] = {}
-    current: str | None = None
+    # the current section's name, entries, single-valued keys and those seen
+    current, entries, single, seen = "", None, (), set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -134,18 +149,20 @@ def _split_sections(text: str) -> dict[str, list[tuple[int, str, str]]]:
                 raise ProblemFileError(lineno, f"unknown section [{name}]")
             if name in sections:
                 raise ProblemFileError(lineno, f"duplicate section [{name}]")
-            sections[name] = []
-            current = name
+            current, entries, single, seen = name, [], _SINGLE.get(name, ()), set()
+            sections[name] = entries
             continue
-        if current is None:
+        if entries is None:
             raise ProblemFileError(lineno, "content before the first section header")
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise ProblemFileError(lineno, "expected 'key = value'")
-        key, value = line.split("=", 1)
         key = key.strip()
-        if key in _SINGLE.get(current, ()) and any(k == key for _, k, _ in sections[current]):
-            raise ProblemFileError(lineno, f"duplicate key {key!r} in [{current}]")
-        sections[current].append((lineno, key, value.strip()))
+        if key in single:
+            if key in seen:
+                raise ProblemFileError(lineno, f"duplicate key {key!r} in [{current}]")
+            seen.add(key)
+        entries.append((lineno, key, value.strip()))
     for name in _REQUIRED:
         if name not in sections:
             raise ProblemFileError(None, f"missing required section [{name}]")
@@ -157,10 +174,9 @@ def _parse_spaces(entries) -> tuple[int, int, int]:
     for lineno, key, value in entries:
         if key not in ("x_dim", "y_dim", "z_dim"):
             raise ProblemFileError(lineno, f"unknown key {key!r} in [spaces]")
-        try:
-            dims[key] = int(value)
-        except ValueError:
-            raise ProblemFileError(lineno, f"{key} must be an integer") from None
+        dims[key] = _integer(value)
+        if dims[key] is None:
+            raise ProblemFileError(lineno, f"{key} must be an integer")
         if dims[key] < 1:
             raise ProblemFileError(lineno, f"{key} must be positive")
     for key in ("x_dim", "y_dim", "z_dim"):
@@ -185,22 +201,27 @@ def _parse_cone(entries, dim: int, name: str) -> PolyhedralCone:
 
 def _parse_monomials(text: str, line: int, in_dim: int) -> list[Monomial]:
     monos: list[Monomial] = []
-    for chunk in text.split(","):
-        tokens = chunk.split()
-        if len(tokens) != 1 + in_dim:
-            raise ProblemFileError(
-                line, f"monomial needs a coefficient and {in_dim} exponents")
-        coeff = _rat(tokens[0], line)
-        exps = []
-        for t in tokens[1:]:
+    try:
+        for chunk in text.split(","):
+            tokens = chunk.split()
+            if len(tokens) != 1 + in_dim:
+                raise ValueError(f"monomial needs a coefficient and {in_dim} exponents")
+            coeff = parse_rational(tokens[0])
             try:
-                e = int(t)
+                exps = tuple(map(int, tokens[1:]))
             except ValueError:
-                raise ProblemFileError(line, f"exponent {t!r} must be an integer") from None
-            if e < 0:
-                raise ProblemFileError(line, "exponents must be nonnegative")
-            exps.append(e)
-        monos.append((tuple(exps), coeff))
+                exps = ()
+            # int() also reads underscores; name the first bad exponent
+            if len(exps) != in_dim or "_" in chunk or min(exps) < 0:
+                for t in tokens[1:]:
+                    e = _integer(t)
+                    if e is None:
+                        raise ValueError(f"exponent {t!r} must be an integer")
+                    if e < 0:
+                        raise ValueError("exponents must be nonnegative")
+            monos.append((exps, coeff))
+    except ValueError as exc:
+        raise ProblemFileError(line, str(exc)) from None
     return monos
 
 
@@ -212,10 +233,9 @@ def _parse_map(entries, in_dim: int, out_dim: int, name: str) -> VectorMap:
             parts = key.split()
             if len(parts) != 2:
                 raise ProblemFileError(lineno, "expected 'poly <coordinate> = ...'")
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise ProblemFileError(lineno, "poly coordinate must be an integer") from None
+            idx = _integer(parts[1])
+            if idx is None:
+                raise ProblemFileError(lineno, "poly coordinate must be an integer")
             if not 0 <= idx < out_dim:
                 raise ProblemFileError(lineno, f"coordinate {idx} out of range for map {name}")
             coords[idx].extend(_parse_monomials(value, lineno, in_dim))
@@ -316,10 +336,9 @@ def parse_problem(text: str) -> ParsedProblem:
     corrections: list[tuple[RationalVector, RationalVector]] = []
     for lineno, key, value in sections.get("options", []):
         if key == "grid":
-            try:
-                options.grid_points = int(value)
-            except ValueError:
-                raise ProblemFileError(lineno, "grid must be an integer") from None
+            options.grid_points = _integer(value)
+            if options.grid_points is None:
+                raise ProblemFileError(lineno, "grid must be an integer")
             if options.grid_points < 2:
                 raise ProblemFileError(lineno, "grid must be at least 2 points per axis")
         elif key == "radius":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .cones import RationalVector, format_rational
@@ -80,10 +81,32 @@ def emit_report(report: Report, format: str = "text") -> bytes:
             ],
             "flags": report.flags,
         }
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return (_json(payload, "\n") + "\n").encode("ascii")
     if format == "text":
         return (render_text(report) + "\n").encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")
+
+
+def _json(value: Any, newline: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes
+    it, for the types a report holds; ``newline`` is a newline and the
+    indent of the line ``value`` starts on."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        items = [_quote(k) + ": " + _json(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    raise TypeError(f"not a report value: {value!r}")
 
 
 _JSON_NAMES = {dict: "JSON object", list: "JSON list", str: "JSON string"}

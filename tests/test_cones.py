@@ -1,6 +1,7 @@
 """Cone algebra: membership, duality, lineality."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -289,6 +290,40 @@ class TestRationalParsing:
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_rational("3/0")
+
+
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+def regex_parse_rational(text: str) -> Fraction:
+    """The oracle: `parse_rational` as a regex match, then `Fraction(str)`."""
+    text = text.strip()
+    if not _RATIONAL_RE.match(text):
+        raise ValueError(f"not an integer or p/q rational literal: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal: {text!r}") from None
+
+
+# ASCII and other Unicode decimal digits (Arabic-Indic three, fullwidth
+# five), and digits that are not decimal (superscript two, one half)
+DIGITS = "0123456789\u0663\uff15\u00b2\u00bd"
+LITERAL_TEXT = st.one_of(
+    st.text(DIGITS + "+-/ _.e\t\n", max_size=12),
+    st.builds("".join, st.lists(st.sampled_from([" ", "+", "-", "/", "0", "1", "12", "_", "."]
+                                                 + list(DIGITS)), max_size=8)))
+
+
+@given(LITERAL_TEXT)
+def test_parse_rational_matches_regex_oracle(text):
+    """Same Fraction, or the same ValueError message, as the regex oracle."""
+    def outcome(parse):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            return str(exc)
+    assert outcome(parse_rational) == outcome(regex_parse_rational)
 
 
 @given(st.lists(rationals(-20, 20, max_denominator=12), max_size=5),

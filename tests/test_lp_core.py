@@ -298,6 +298,35 @@ def test_generated_systems_reach_both_statuses():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+@st.composite
+def scale_fixed_systems(draw, max_vars=4):
+    """Systems shaped like a multiplier system's: homogeneous ``ge`` rows
+    and one equality with rhs 1, around a planted point that every ``ge``
+    row pairs nonnegatively with.  Coefficients are p/q with q up to 128,
+    so that the rows reach the solver over dens of very different sizes;
+    the phase-1 objective sums the rows at that scale, and a wrong scale
+    takes other pivots to another vertex."""
+    n = draw(st.integers(2, max_vars))
+    planted = draw(st.tuples(*[st.integers(-3, 3)] * n))
+
+    def oriented(g):
+        return g if sum(a * b for a, b in zip(g, planted)) >= 0 else tuple(-a for a in g)
+
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 128))
+    rows = [Constraint(oriented(g), "ge", 0)
+            for g in draw(st.lists(st.tuples(*[coeff] * n), min_size=1, max_size=10))]
+    rows.append(Constraint(draw(st.tuples(*[st.integers(-3, 3)] * n)), "eq", 1))
+    return LinearFeasibilityProblem(tuple(f"v{k}" for k in range(n)), tuple(rows))
+
+
+@given(scale_fixed_systems())
+def test_scale_fixed_systems_match_fraction_oracle(lfp):
+    result = solve_feasibility(lfp)
+    assert result == oracle_solve_feasibility(lfp)
+    if result.feasible:
+        assert all(c.holds(result.assignment) for c in lfp.constraints)
+
+
 # the oracle takes over a second on a 55-row system
 GRID_EXAMPLES = 8
 ZERO = Fraction(0)

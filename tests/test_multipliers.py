@@ -612,8 +612,9 @@ class TestCertificates:
             assert broken or not any(assignment)
         else:
             assert not broken and any(assignment) and cert.residuals == expected
-        cert = multipliers.MultiplierCertificate(V(*assignment[:1]), V(*assignment[1:]),
-                                                 expected, lfp)
+        cert = multipliers.MultiplierCertificate(
+            V(*assignment[:1]), V(*assignment[1:]),
+            tuple((r.numerator, r.denominator) for r in expected), lfp)
         for scale in (1, F(3, 2), F(1, 7)):
             scaled = residuals(tuple(scale * v for v in assignment))
             for skip in (False, True):

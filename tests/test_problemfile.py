@@ -1,5 +1,6 @@
 """Problem file parsing: exactness, defaults, and error reporting."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,31 @@ class TestErrors:
         # only one mark is dropped
         with pytest.raises(ProblemFileError, match="^line 1: content before"):
             parse_problem("\ufeff\ufeff" + MINIMAL)
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("x_dim = 1", "x_dim = 0_1", "line 2: x_dim must be an integer"),
+        ("z_dim = 1", "z_dim = 1_0", "line 4: z_dim must be an integer"),
+        ("poly 0 = 1 2", "poly 0_0 = 1 2", "line 13: poly coordinate must be an integer"),
+        ("poly 0 = 1 2", "poly 0 = 1 0_2", "line 13: exponent '0_2' must be an integer"),
+        ("poly 0 = 1 2", "poly 0 = 1 ２", None),
+        ("poly 0 = 1 2", "poly 0 = 1 +2", None),
+        ("poly 0 = 1 2", "poly 0 = 1 -0", None),
+        ("poly 0 = 1 2", "poly 0 = 1 -2", "line 13: exponents must be nonnegative"),
+        ("poly 0 = 1 2", "poly 0 = 1 x, 1 -2", "line 13: exponent 'x' must be an integer"),
+        ("poly 0 = 1 2", "poly 0 = 1 2, 1_0 2", "line 13: not an integer or p/q rational"),
+        ("eps = 0", "eps = 0\n[options]\ngrid = 1_1", "line 30: grid must be an integer"),
+        ("eps = 0", "eps = 0\n[options]\ngrid = +11", None),
+    ])
+    def test_integer_keys_read_as_integer_literals(self, old, new, message):
+        """Dimensions, the grid, poly indices and exponents are integer
+        literals as `parse_rational` reads them: a sign, then decimal
+        digits, with no underscore."""
+        text = patched(MINIMAL, old, new)
+        if message is None:
+            parse_problem(text)
+        else:
+            with pytest.raises(ProblemFileError, match="^" + re.escape(message)):
+                parse_problem(text)
 
     def test_content_before_section_rejected(self):
         with pytest.raises(ProblemFileError, match="before the first section"):

@@ -1,9 +1,12 @@
 """Report rendering, round-trips, determinism, and witness re-verification."""
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dcverify import (
     GridSpec,
@@ -21,6 +24,16 @@ from dcverify.report import CheckResult, Report
 from dcverify.scenarios import load_scenario_problem, scenario_names
 
 V = RationalVector.of
+
+# what a report's params and data may hold: nested objects and lists, empty
+# ones, big and negative ints, true/false/null, and strings with non-ASCII
+# and control characters
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+    | st.text() | st.text("a\"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600", max_size=6),
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=2).map(tuple)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12)
 
 
 def frac(s: str) -> Fraction:
@@ -67,6 +80,26 @@ class TestEmitAndParse:
         assert len(golden) == 27
         for path in golden:
             data = path.read_bytes()
+            assert emit_report(parse_machine_report(data), "machine") == data
+
+    @given(st.dictionaries(st.text(), JSON_VALUES, max_size=4),
+           st.dictionaries(st.text(), JSON_VALUES, max_size=4),
+           st.dictionaries(st.text(), st.text(), max_size=3), st.lists(st.text(), max_size=3))
+    def test_machine_writer_matches_json_dumps(self, params, data, options, flags):
+        report = Report("check \u00e9", "p\x00.problem", options,
+                        [CheckResult("name", "status", params, data)], flags)
+        payload = {"tool": "dcverify", "command": report.command, "problem": report.problem,
+                   "options": options, "flags": flags,
+                   "results": [{"name": "name", "status": "status", "params": params,
+                                "data": data}]}
+        expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert emit_report(report, "machine") == expected.encode("utf-8")
+
+    def test_machine_writer_matches_json_dumps_on_goldens(self):
+        for path in sorted((Path(__file__).parent / "golden").glob("*.json")):
+            data = path.read_bytes()
+            payload = json.loads(data)
+            assert (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode() == data
             assert emit_report(parse_machine_report(data), "machine") == data
 
     @pytest.mark.parametrize("payload,field", [
