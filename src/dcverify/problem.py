@@ -20,9 +20,9 @@ A `GridSpec` keeps, for as long as it lives, what its points determine:
 each point list as its `PointTable`, which indexes the points on an integer
 lattice, decodes them once and holds each map as integers over one
 positive scale at every point, evaluated once per point.  Every engine
-reads those tables: the convexity scans (`_Lattice`) by packed key on the
-lattice of their lambdas, every other engine by position, dissipativity on
-its ball grids; only this module makes polynomials integer.
+reads those tables: the convexity scans (as `_paired` maps) by packed key
+on the lattice of their lambdas, every other engine by position,
+dissipativity on its ball grids; only this module makes polynomials integer.
 `VectorMap.evaluate` serves only single points: the base point (also in
 `feasible_contains`, which cross-checks the table's flags), witnesses and
 library callers.
@@ -195,41 +195,66 @@ class BoxSet:
         return BoxSet(lo, hi)
 
 
-class _LatticeMap:
-    """One map on one point table, as integers: scale * map(x) at each
-    fine key of the table's lattice, with one positive scale for the whole
-    lattice.
+def _paired(vmap: VectorMap, normals: Sequence[Sequence[int]]) -> VectorMap:
+    """The map x -> (<a, vmap(x)> for each normal a) as polynomials, with
+    each exceptional value paired the same way.  Its tuples are built from
+    lists: one built from a generator is resized, not taken from CPython's
+    tuple free lists, and freed it grows them command after command."""
+    coords = tuple([tuple([(exponents, ai * coeff) for ai, monos in zip(a, vmap.coords) if ai
+                           for exponents, coeff in monos]) for a in normals])
+    return VectorMap(vmap.in_dim, len(normals), coords, tuple([
+        (p, RationalVector(tuple([sum(map(mul, a, value)) for a in normals])))
+        for p, value in vmap.exceptions]))
 
-    The map's polynomials become integer polynomials in the numerators
-    base_d + K_d*unit_d of the fine coordinates, and the values of its
-    exceptional points in the box override them at their keys.  `_row`
-    says what a value becomes in the tables of a subclass.
+
+class _MapTable:
+    """One map on one point table, as integers: scale * map(x), one
+    positive scale for the table's whole fine lattice, by integer
+    polynomials in the numerators base_d + K_d*unit_d of the fine
+    coordinates; the values of its exceptional points in the box override
+    them at their keys.  `rows` holds the listed points, `at` any fine key
+    and `line` the whole fine lattice when it is one line.
     """
 
     def __init__(self, vmap: VectorMap, table: PointTable) -> None:
-        self._axes = table.axes
+        self._axes, self._keys, self._q = table.axes, table.keys, table.q
         self.scale, self._polys = _int_polys(
             vmap.coords, table.dens, (v.denominator for _, value in vmap.exceptions for v in value))
-        q, extra = table.q, table.extra_keys
-        self._overrides = {q * extra[p.coords]: [int(v * self.scale) for v in value]
-                           for p, value in vmap.exceptions if p.coords in extra}
-
-    def _row(self, ys: Sequence[int]) -> tuple[int, ...]:
-        return tuple(ys)
+        extra = table.extra_keys
+        self._memo = {self._q * extra[p.coords]: tuple([int(v * self.scale) for v in value])
+                      for p, value in vmap.exceptions if p.coords in extra}
+        # the line, as its columns and as its rows by fine key, once tabulated
+        self._line = self._by_key = None
 
     def _poly_at(self, key: int) -> list[int]:
         """scale * map(x) by the polynomial at a fine key; see `PointTable`."""
         return _int_eval(self._polys, [base + key // stride % radix * unit
                                        for base, unit, stride, radix in self._axes])
 
-    def _ys(self, key: int) -> list[int]:
-        ys = self._overrides.get(key)
-        return self._poly_at(key) if ys is None else ys
+    def at(self, key: int) -> tuple[int, ...]:
+        """The values at a fine key: read from the `line` once it is
+        tabulated, otherwise evaluated once."""
+        if self._by_key is not None:
+            return self._by_key[key]
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = tuple(self._poly_at(key))
+        return hit
 
-    def _tabulate_line(self, bound: int) -> list[list[int]] | None:
-        """The rows at keys 0 .. size-1 of the fine lattice, one list per
+    @cached_property
+    def rows(self) -> list[tuple[int, ...]]:
+        """The values at the listed points, in list order; from the `line`
+        when it has at most twice as many keys as points."""
+        q, keys = self._q, self._keys
+        if self.line(2 * len(keys)) is None:
+            return [self.at(q * key) for key in keys]
+        by_key = self._by_key
+        return [by_key[q * key] for key in keys]
+
+    def line(self, bound: int) -> list[list[int]] | None:
+        """The values at keys 0 .. size-1 of the fine lattice, one list per
         entry of a row, when it is a line (at most one radix is above 1) of
-        size at most bound; None otherwise.
+        size at most bound; None otherwise.  Kept once a bound admits it.
 
         Along the line each entry is a polynomial in the key of at most the
         degree d of the map in the varying coordinate, with integer values.
@@ -237,8 +262,11 @@ class _LatticeMap:
         comes from its forward-difference table by d integer additions (the
         method of differences; Knuth, TAOCP vol. 2, 4.6.4).  On a line of
         size at most d, the table of degree size - 1 through the keys it
-        has is exact.  Exceptional keys then override their single values.
+        has is exact.  The memo's values, overrides among them, are then
+        written over their keys.
         """
+        if self._line is not None:
+            return self._line
         radices = [radix for *_, radix in self._axes]
         size = prod(radices)
         if sum(radix > 1 for radix in radices) > 1 or size > bound:
@@ -246,7 +274,7 @@ class _LatticeMap:
         degree = max((e for poly in self._polys for exponents, _ in poly
                       for e, radix in zip(exponents, radices) if radix > 1), default=0)
         d = min(degree, size - 1)
-        rows = [self._row(self._poly_at(key)) for key in range(d + 1)]
+        rows = [self._poly_at(key) for key in range(d + 1)]
         # the forward differences of orders 0 .. d at key 0
         heads = []
         while rows:
@@ -259,30 +287,11 @@ class _LatticeMap:
             for start in reversed(head[:-1]):
                 column = list(itertools.accumulate(column[:-1], initial=start))
             columns.append(column)
-        for key, ys in self._overrides.items():
-            for column, value in zip(columns, self._row(ys)):
+        for key, ys in self._memo.items():
+            for column, value in zip(columns, ys):
                 column[key] = value
+        self._line, self._by_key = columns, list(zip(*columns))
         return columns
-
-
-class _MapTable(_LatticeMap):
-    """scale * map(x) as ints at every point of one point table, in list
-    order (`rows`).
-
-    When the fine lattice is a line of at most twice as many keys as
-    points, it is tabulated by differences; otherwise each point is
-    evaluated by the polynomial.
-    """
-
-    def __init__(self, vmap: VectorMap, table: PointTable) -> None:
-        super().__init__(vmap, table)
-        q, keys = table.q, table.keys
-        columns = self._tabulate_line(2 * len(keys))
-        if columns is None:
-            self.rows = [self._row(self._ys(q * key)) for key in keys]
-        else:
-            line = list(zip(*columns))
-            self.rows = [line[q * key] for key in keys]
 
 
 class PointTable:
@@ -299,7 +308,7 @@ class PointTable:
     the packing is linear and order-preserving, and a convex combination
     never leaves the box, so combinations can be formed on the packed
     keys.  q is the lcm of the lambda denominators for the convexity scans
-    (`_Lattice`) and 1 for every other engine.
+    and 1 for every other engine.
 
     The table hides its packed keys behind positions 0 .. len - 1, in list
     order; the point at position i sits at fine key q * keys[i].  `points`
@@ -309,13 +318,15 @@ class PointTable:
     `within` and `affine`.  `values(vmap)` holds scale * vmap(x) as ints
     at every point, one positive scale per map, computed the first time a
     map is asked for: each map is evaluated at most once per point, and
-    exceptional values override.  The engines compare integer pairings of
-    these rows with the cone normals; only witnesses turn back into
-    Fractions, and LP rows stay ints over a den.  `flags` keeps, per problem
-    whose certification list this is, the feasibility flag of every point,
-    in list order, and that of xbar (`pareto.feasibility`).
-    Maps and problems are keyed by identity, and each entry keeps its key
-    object alive, so no key is reused while the table lives.
+    exceptional values override; `values(vmap, normals)` tabulates the map
+    `_paired(vmap, normals)` the same way, for the convexity scans.  The
+    engines compare integer pairings with the cone normals; only witnesses
+    turn back into Fractions, and LP rows stay ints over a den.  `flags`
+    keeps, per problem whose certification list this is, the feasibility
+    flag of every point, in list order, and that of xbar
+    (`pareto.feasibility`).  Maps and problems are keyed by identity, and
+    each entry keeps its key object alive, so no key is reused while the
+    table lives.
     """
 
     def __init__(self, keys: list[int], axes: list[tuple[int, int, int, int]], dens: list[int],
@@ -324,13 +335,13 @@ class PointTable:
         self.keys = keys
         # fine-lattice coordinate x_d = (base_d + K_d*unit_d) / den_d with the
         # digit K_d = key // stride % radix; one (base, unit, stride, radix) per
-        # axis.  `_columns` and `_LatticeMap._poly_at` inline the digit, so a
+        # axis.  `_columns` and `_MapTable._poly_at` inline the digit, so a
         # change to the packing changes both
         self.axes, self.dens = axes, dens
         # packed coarse key of each extra point in the box
         self.extra_keys = extra_keys
         self.q = q
-        self._maps: dict[int, tuple[VectorMap, _MapTable]] = {}
+        self._maps: dict[tuple[int, tuple | None], tuple[VectorMap, VectorMap, _MapTable]] = {}
         self._offsets: dict[tuple[Fraction, ...], tuple[int, list[tuple[int, ...]]]] = {}
         self.flags: dict[int, tuple[DCProblem, list[bool], bool]] = {}
 
@@ -380,14 +391,15 @@ class PointTable:
             hit = self._offsets[center.coords] = (c, rows)
         return hit
 
-    def values(self, vmap: VectorMap) -> _MapTable:
-        hit = self._maps.get(id(vmap))
+    def values(self, vmap: VectorMap, normals: tuple | None = None) -> _MapTable:
+        hit = self._maps.get((id(vmap), normals))
         if hit is None:
             if vmap.in_dim != len(self.axes):
                 raise DimensionMismatchError(
                     f"point dim {len(self.axes)} vs map in_dim {vmap.in_dim}")
-            hit = self._maps[id(vmap)] = (vmap, _MapTable(vmap, self))
-        return hit[1]
+            tabulated = vmap if normals is None else _paired(vmap, normals)
+            hit = self._maps[id(vmap), normals] = (vmap, tabulated, _MapTable(tabulated, self))
+        return hit[2]
 
     def within(self, center: RationalVector, radius: Fraction) -> list[int]:
         """The positions of the points x with max-norm |x - center| <=
@@ -429,13 +441,16 @@ class GridSpec:
     the lower bound and unit/den the step.  A point list, keyed by the
     extra points that fall inside the box, is built only as its
     `PointTable` (`table`), once per q, and kept for as long as the
-    instance lives; so are the ball grids built from this one (`ball`).
-    Nothing is kept past the instance.
+    instance lives; so are the in-box set of each extra list and the ball
+    grids built from this one (`ball`).  Nothing is kept past the
+    instance.
     """
 
     box: BoxSet
     points_per_axis: int
     _tables: dict[tuple[frozenset, int], PointTable] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _inside: dict[tuple, frozenset] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _balls: dict[tuple, GridSpec] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -467,8 +482,12 @@ class GridSpec:
     def table(self, extra: Iterable[RationalVector], q: int = 1) -> PointTable:
         """The `PointTable` of `points(extra)` on the lattice q times finer
         than its coarse lattice; built the first time it is asked for."""
-        inside = frozenset(p.coords for p in extra
-                           if p.dim == self.box.dim and self.box.contains(p))
+        extra = list(extra)
+        coords = tuple([p.coords for p in extra])
+        inside = self._inside.get(coords)
+        if inside is None:
+            inside = self._inside[coords] = frozenset(
+                p.coords for p in extra if p.dim == self.box.dim and self.box.contains(p))
         table = self._tables.get((inside, q))
         if table is None:
             table = self._tables[inside, q] = self._build_table(inside, q)
@@ -593,14 +612,6 @@ class ConvexityVerdict:
         return self.status == Status.FALSIFIED
 
 
-def _pair_lambdas(lambdas: Sequence[Fraction]) -> list[Fraction]:
-    lams = [as_fraction(l) for l in lambdas]
-    for lam in lams:
-        if not 0 < lam < 1:
-            raise ValueError("lambda values must lie strictly between 0 and 1")
-    return lams
-
-
 def _rational_gcd(a: Fraction, b: Fraction) -> Fraction:
     """Largest rational g such that a/g and b/g are both integers."""
     return Fraction(gcd(a.numerator * b.denominator, b.numerator * a.denominator),
@@ -611,107 +622,62 @@ def _at_least(row: Sequence[int], other: Sequence[int]) -> bool:
     return all(x >= y for x, y in zip(row, other))
 
 
-class _Lattice(_LatticeMap):
-    """Integer values of one map over one grid, shared by both convexity
-    scans.
+def _scan(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec, lambdas: Sequence[Fraction]
+          ) -> tuple[PointTable, _MapTable, list[tuple[Fraction, int, bool]], int] | None:
+    """What both convexity scans share: (table, values, plan, tests), or
+    None for the whole space, where no test can fail.
 
-    The packed keys and fine axes come from the grid's `PointTable` for
-    the q of the lambdas (`GridSpec.table`), which every map on the grid
-    with the same in-box exceptional points and the same q shares.  The
-    map is evaluated at most once per fine point reached, in a lazy memo.
-    Its values are paired with every cone halfspace normal (primitive
-    integer vectors) and scaled by one common denominator D of all map
-    values on the fine lattice, so each point carries one int per halfspace
-    and every cone inequality becomes an integer comparison.  Exceptional
-    points in the box are scanned points, so their overrides are keyed by
-    fine key like any other value.  Only a witness pair is decoded into
-    points, by the table.
-
-    When the scanned points vary along at most one axis, the fine lattice
-    is one line whose packed keys are 0, 1, ...; `line` tabulates it by
-    finite differences, both scans read their values from it, and
-    `convex_on_line` walks it in order instead of visiting pairs.
+    The table is the grid's `PointTable` for the q of the lambdas; the
+    values, the map paired with the cone's normals on it, so every cone
+    inequality is an integer comparison.  The plan holds (lam, w, mirrored)
+    per lambda, mirrored when 1 - lam is not listed; tests counts the tests
+    of `_pairs`, and a fine line no longer than that is tabulated.
     """
+    if vmap.out_dim != cone.dim:
+        raise DimensionMismatchError("map and cone dimensions differ")
+    lams = [as_fraction(l) for l in lambdas]
+    if not all(0 < lam < 1 for lam in lams):
+        raise ValueError("lambda values must lie strictly between 0 and 1")
+    if not cone.normals:
+        return None
+    q = lcm(*(lam.denominator for lam in lams))
+    table = grid.table(vmap.exception_points(), q)
+    plan = [(lam, int(lam * q), (1 - lam) not in lams) for lam in lams]
+    n = len(table)
+    tests = n * (n - 1) // 2 * sum(1 + mirrored for *_, mirrored in plan)
+    values = table.values(vmap, cone.normals)
+    values.line(tests)
+    return table, values, plan, tests
 
-    def __init__(self, vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
-                 lambdas: Sequence[Fraction]) -> None:
-        if vmap.out_dim != cone.dim:
-            raise DimensionMismatchError("map and cone dimensions differ")
-        self.lams = _pair_lambdas(lambdas)
-        self.q = lcm(*(lam.denominator for lam in self.lams))
-        self.table = grid.table(vmap.exception_points(), self.q)
-        super().__init__(vmap, self.table)
-        self.keys = self.table.keys
-        self.normals = cone.normals
-        lam_set = set(self.lams)
-        # (lam, w, mirrored) in list order; mirrored when 1 - lam is not listed
-        self._plan = [(lam, int(lam * self.q), (1 - lam) not in lam_set) for lam in self.lams]
-        self._memo: dict[int, tuple[int, ...]] = {}
 
-    @cached_property
-    def values(self) -> list[tuple[int, ...]]:
-        """The values of the scanned points, in point order; on a line they
-        are read from its table."""
-        self.line  # tabulating a line fills the memo
-        return [self.value(self.q * key) for key in self.keys]
+def _pairs(n: int, plan: Sequence[tuple[Fraction, int, bool]]) -> Iterator[tuple]:
+    """(a, b, lam, w) with lam = w/q, in scan order: index pairs i < j in
+    lexicographic order, each lambda in list order, and the mirrored
+    orientation (j, i) right after (i, j) when 1 - lam is not itself
+    listed.  Pairs i == j are skipped: their combination is the point
+    itself, which can falsify neither check."""
+    for i in range(n):
+        for j in range(i + 1, n):
+            for lam, w, mirrored in plan:
+                yield i, j, lam, w
+                if mirrored:
+                    yield j, i, lam, w
 
-    @cached_property
-    def line(self) -> list[list[int]] | None:
-        """The whole fine lattice by `_tabulate_line`, one list per
-        halfspace normal and also stored in the memo, when it is a line
-        that is not longer than the scan: at most the number of (pair,
-        lambda, orientation) tests.  None otherwise."""
-        n = len(self.keys)
-        columns = self._tabulate_line(n * (n - 1) // 2 * sum(1 + m for *_, m in self._plan))
-        if columns is not None:
-            self._memo.update(enumerate(zip(*columns)))
-        return columns
 
-    def _row(self, ys: Sequence[int]) -> tuple[int, ...]:
-        """D * <a, map(x)> for each halfspace normal a."""
-        return tuple(sum(ai * yi for ai, yi in zip(a, ys)) for a in self.normals)
+def _convex_on_line(columns: list[list[int]] | None) -> bool:
+    """True when no cone-convexity test of `_pairs` can fail, shown by
+    second differences along the tabulated fine line (Murota, Discrete
+    Convex Analysis, 2003).  If every pairing s has s(k-1) + s(k+1) >=
+    2 s(k), its piecewise-linear interpolant is convex and equals s at
+    every fine key, so a test at the keys A, B and m = (w*A + (q-w)*B)/q
+    has q*s(m) <= w*s(A) + (q-w)*s(B).
+    """
+    return columns is not None and all(
+        b + a >= 2 * h for column in columns for b, h, a in zip(column, column[1:], column[2:]))
 
-    def value(self, key: int) -> tuple[int, ...]:
-        """The pairings at packed fine key."""
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = self._row(self._ys(key))
-        return hit
 
-    def pairs(self):
-        """(a, b, lam, w) with lam = w/q, in scan order: index pairs i < j
-        in lexicographic order, each lambda in list order, and the mirrored
-        orientation (j, i) right after (i, j) when 1 - lam is not itself
-        listed.  Pairs i == j are skipped: their combination is the point
-        itself, which can falsify neither check."""
-        n = len(self.keys)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for lam, w, mirrored in self._plan:
-                    yield i, j, lam, w
-                    if mirrored:
-                        yield j, i, lam, w
-
-    def convex_on_line(self) -> bool:
-        """True when no cone-convexity test of `pairs` can fail, shown by
-        second differences along the fine line (Murota, Discrete Convex
-        Analysis, 2003).
-
-        It applies when the fine lattice is tabulated as a `line`.  If every
-        halfspace pairing s has s(k-1) + s(k+1) >= 2 s(k) along the line,
-        its piecewise-linear interpolant is convex and equals s at every
-        fine key.  A test reads s at the fine keys A, B of two scanned
-        points and at the fine key m = (w*A + (q-w)*B)/q, so
-        q*s(m) <= w*s(A) + (q-w)*s(B) and the test holds.  When the walk
-        finds a negative second difference, the pair scan reads the same
-        table.
-        """
-        columns = self.line
-        return columns is not None and all(
-            b + a >= 2 * h for column in columns for b, h, a in zip(column, column[1:], column[2:]))
-
-    def witness(self, a: int, b: int, lam: Fraction) -> ConvexityVerdict:
-        return ConvexityVerdict(Status.FALSIFIED, (self.table.point(a), self.table.point(b), lam))
+def _witness(table: PointTable, a: int, b: int, lam: Fraction) -> ConvexityVerdict:
+    return ConvexityVerdict(Status.FALSIFIED, (table.point(a), table.point(b), lam))
 
 
 def check_cone_convex(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
@@ -722,22 +688,23 @@ def check_cone_convex(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
     for unordered grid pairs; each lambda is mirrored unless its complement
     already appears in the list.  First failure in lexicographic order wins.
 
-    On a line of scanned points whose halfspace pairings have nonnegative
-    second differences on the fine lattice, `_Lattice.convex_on_line` shows
-    that every test holds, so the verdict is NotFalsified without the pair
-    scan; otherwise the pairs are scanned, reading the same table when the
-    points lie on a line.
+    On a fine line whose pairings have nonnegative second differences,
+    `_convex_on_line` shows that every test holds without the pair scan;
+    otherwise the pairs are scanned on the same table.
     """
-    lat = _Lattice(vmap, cone, grid, lambdas)
-    if lat.convex_on_line():
+    scan = _scan(vmap, cone, grid, lambdas)
+    if scan is None:
         return ConvexityVerdict(Status.NOT_FALSIFIED)
-    q, keys, values, value = lat.q, lat.keys, lat.values, lat.value
-    for a, b, lam, w in lat.pairs():
+    table, values, plan, tests = scan
+    if _convex_on_line(values.line(tests)):
+        return ConvexityVerdict(Status.NOT_FALSIFIED)
+    q, keys, rows, at = table.q, table.keys, values.rows, values.at
+    for a, b, lam, w in _pairs(len(keys), plan):
         wc = q - w
-        mid = value(w * keys[a] + wc * keys[b])
-        for sa, sb, sm in zip(values[a], values[b], mid):
+        mid = at(w * keys[a] + wc * keys[b])
+        for sa, sb, sm in zip(rows[a], rows[b], mid):
             if w * sa + wc * sb < q * sm:
-                return lat.witness(a, b, lam)
+                return _witness(table, a, b, lam)
     return ConvexityVerdict(Status.NOT_FALSIFIED)
 
 
@@ -749,26 +716,29 @@ def check_convexlike(vmap: VectorMap, cone: PolyhedralCone, grid: GridSpec,
     The verdict is grid-relative in both quantifiers: pairs range over the
     grid and the existential witness x3 is searched over the grid only.
     """
-    lat = _Lattice(vmap, cone, grid, lambdas)
-    q, values = lat.q, lat.values
+    scan = _scan(vmap, cone, grid, lambdas)
+    if scan is None:
+        return ConvexityVerdict(Status.NOT_FALSIFIED)
+    table, values, plan, _ = scan
+    q, rows = table.q, values.rows
     # some grid point is dominated exactly when a componentwise-minimal value
     # row is; in lexicographic order no row is preceded by one it dominates
     minimal: list[tuple[int, ...]] = []
-    for row in sorted(set(values)):
+    for row in sorted(set(rows)):
         if not any(_at_least(row, kept) for kept in minimal):
             minimal.append(row)
-    # bit r of masks[a]: values[a] is at least minimal row r.  When both ends
+    # bit r of masks[a]: rows[a] is at least minimal row r.  When both ends
     # of a pair are, so is every combination of their values
     masks = [sum(1 << r for r, kept in enumerate(minimal) if _at_least(row, kept))
-             for row in values]
+             for row in rows]
     if reduce(and_, masks, -1):
         return ConvexityVerdict(Status.NOT_FALSIFIED)
     bounds = [tuple(q * m for m in row) for row in minimal]
-    for a, b, lam, w in lat.pairs():
+    for a, b, lam, w in _pairs(len(rows), plan):
         if masks[a] & masks[b]:
             continue
         wc = q - w
-        target = [w * sa + wc * sb for sa, sb in zip(values[a], values[b])]
+        target = [w * sa + wc * sb for sa, sb in zip(rows[a], rows[b])]
         if not any(_at_least(target, row) for row in bounds):
-            return lat.witness(a, b, lam)
+            return _witness(table, a, b, lam)
     return ConvexityVerdict(Status.NOT_FALSIFIED)

@@ -30,7 +30,16 @@ from dcverify import (
     check_cone_convex,
     check_convexlike,
 )
-from dcverify.problem import ConvexityVerdict, _Lattice, _rational_gcd
+from dcverify import problem
+from dcverify.problem import (
+    ConvexityVerdict,
+    _convex_on_line,
+    _MapTable,
+    _paired,
+    _pairs,
+    _rational_gcd,
+    _scan,
+)
 from dcverify.scenarios import convexity_results, load_scenario_problem
 from conftest import rationals
 
@@ -202,6 +211,10 @@ def test_scans_refuse_map_and_cone_of_different_dimensions(check):
     grid = GridSpec(BoxSet(RationalVector.of(-1), RationalVector.of(1)), 5)
     with pytest.raises(DimensionMismatchError):
         check(vmap, ray, grid)
+    # and a map of two variables on a 1-D grid, as `PointTable.values` refuses
+    saddle = VectorMap.from_coeffs(2, 1, [[((2, 0), 1), ((0, 2), -1)]])
+    with pytest.raises(DimensionMismatchError):
+        check(saddle, ray, grid)
 
 
 @st.composite
@@ -248,10 +261,13 @@ def lines(draw):
 
 
 def _certificate_outcome(vmap, cone, grid, lams):
-    lat = _Lattice(vmap, cone, grid, lams)
-    if prod(radix for *_, radix in lat._axes) > sum(1 for _ in lat.pairs()):
+    scan = _scan(vmap, cone, grid, lams)
+    if scan is None:
+        return "whole space"
+    table, values, _, tests = scan
+    if prod(radix for *_, radix in table.axes) > tests:
         return "guard"
-    return "accept" if lat.convex_on_line() else "decline"
+    return "accept" if _convex_on_line(values.line(tests)) else "decline"
 
 
 @cache
@@ -282,22 +298,17 @@ def test_line_certificate_matches_fraction_oracle():
 def test_lines_reach_every_certificate_outcome():
     """The strategy is not degenerate: the certificate accepts, declines on
     a negative second difference, and is declined by the size guard.  Read
-    from the differential's draws."""
-    assert line_run() == {"accept", "decline", "guard"}
+    from the differential's draws; a whole-space cone has no certificate."""
+    assert line_run() - {"whole space"} == {"accept", "decline", "guard"}
 
 
-def _spy_values(monkeypatch):
-    """Record each key `_Lattice.value` is asked for, and whether the map
-    was evaluated there (the key was not in the memo yet)."""
-    calls: list[tuple[int, bool]] = []
-    value = _Lattice.value
-
-    def spy(self, key):
-        calls.append((key, key not in self._memo))
-        return value(self, key)
-
-    monkeypatch.setattr(_Lattice, "value", spy)
-    return calls
+def _spy_poly_at(monkeypatch):
+    """Record each fine key at which a map table evaluates its polynomial."""
+    direct: list[int] = []
+    poly_at = _MapTable._poly_at
+    monkeypatch.setattr(_MapTable, "_poly_at",
+                        lambda self, key: direct.append(key) or poly_at(self, key))
+    return direct
 
 
 def test_shipped_maps_certified_without_pair_scan(quartic_quadratic, monkeypatch):
@@ -305,30 +316,31 @@ def test_shipped_maps_certified_without_pair_scan(quartic_quadratic, monkeypatch
     # 5,050 pairs x 3 lambdas = 15,150 lookups per map.  Direct evaluations
     # are counted where the polynomial is evaluated, so values the line
     # table fills by differences cannot slip past the count.  Both checks
-    # pass here without visiting a pair
+    # pass here without visiting a pair, and the convexlike scan reads the
+    # paired table the cone-convexity scan made
     p = quartic_quadratic.problem
     grid = GridSpec(p.C, 101)
 
-    def no_pairs(self):
+    def no_pairs(n, plan):
         raise AssertionError("the pair scan ran")
 
-    monkeypatch.setattr(_Lattice, "pairs", no_pairs)
+    monkeypatch.setattr(problem, "_pairs", no_pairs)
     for vmap, cone in ((p.F, p.K), (p.G, p.K), (p.H, p.D), (p.S, p.D)):
         degree = max(e for monos in vmap.coords for (e,), _ in monos)
         with monkeypatch.context() as m:
-            lattices, direct = [], []
-            walk, poly_at = _Lattice.convex_on_line, _Lattice._poly_at
-            m.setattr(_Lattice, "convex_on_line",
-                      lambda self: lattices.append(self) or walk(self))
-            m.setattr(_Lattice, "_poly_at", lambda self, key: direct.append(key) or poly_at(self, key))
+            tables = []
+            build = _MapTable.__init__
+            m.setattr(_MapTable, "__init__",
+                      lambda self, vmap, table: tables.append(self) or build(self, vmap, table))
+            direct = _spy_poly_at(m)
             assert check_cone_convex(vmap, cone, grid) == ConvexityVerdict("NotFalsified")
             assert len(direct) <= degree + 1
-            (lat,) = lattices
-            assert len(lat._memo) <= 401
-            # the convexlike scan reads its values from the same kind of table
+            (values,) = tables
+            # the line is kept once tabulated, whatever bound asks again
+            assert len(values.line(0)[0]) == 401
             direct.clear()
             assert check_convexlike(vmap, cone, grid) == ConvexityVerdict("NotFalsified")
-            assert len(direct) <= degree + 1
+            assert direct == [] and tables == [values]
 
 
 def test_size_guard_declines_without_walking(monkeypatch):
@@ -340,16 +352,15 @@ def test_size_guard_declines_without_walking(monkeypatch):
     ray = PolyhedralCone.from_generators([RationalVector.of(1)])
     grid = GridSpec(BoxSet(RationalVector.of(0), RationalVector.of(1)), 21)
     lams = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
-    lat = _Lattice(square, ray, grid, lams)
-    tests = sum(1 for _ in lat.pairs())
-    assert tests == 693
-    reached = dict(lat._memo)
-    assert not lat.convex_on_line()
-    assert lat._memo == reached
-    calls = _spy_values(monkeypatch)
+    table, values, plan, tests = _scan(square, ray, grid, lams)
+    assert tests == sum(1 for _ in _pairs(len(table), plan)) == 693
+    # nothing is tabulated: the memo holds only the exceptional key
+    assert values.line(tests) is None
+    assert list(values._memo) == [4 * table.extra_keys[(at,)]]
+    direct = _spy_poly_at(monkeypatch)
     verdict = check_cone_convex(square, ray, grid, lams)
     assert verdict == oracle_cone_convex(square, ray, grid, lams)
-    assert sum(evaluated for _, evaluated in calls) < tests
+    assert len(direct) == len(set(direct)) < tests
 
 
 # --- the grid's point tables on their lattices ------------------------------
@@ -546,15 +557,17 @@ def polynomial_lines(draw):
 @given(polynomial_lines())
 def test_line_table_matches_direct_evaluation(case):
     vmap, cone, grid, lams = case
-    lat = _Lattice(vmap, cone, grid, lams)
-    size = prod(radix for *_, radix in lat._axes)
+    assume(cone.normals)
+    points = grid.table(vmap.exception_points(), lcm(*(lam.denominator for lam in lams)))
+    size = prod(radix for *_, radix in points.axes)
     assume(size <= 1500)
-    columns = lat._tabulate_line(size)
+    columns = points.values(vmap, cone.normals).line(size)
     assert len(columns) == len(cone.normals)
-    table = list(zip(*columns)) or [()] * size
-    # the same keys on a lattice that has tabulated nothing
-    direct = _Lattice(vmap, cone, grid, lams)
-    assert table == [direct.value(key) for key in range(size)]
+    table = list(zip(*columns))
+    # the same keys on a map table that has tabulated nothing, with the
+    # overrides of its exceptional keys
+    direct = _MapTable(_paired(vmap, cone.normals), points)
+    assert table == [direct.at(key) for key in range(size)]
     # and, up to the common positive scale D, the Fraction pairings at the
     # point of each key, lo + key/(size-1) * (hi - lo)
     lo, hi = grid.box.lower, grid.box.upper
@@ -565,3 +578,154 @@ def test_line_table_matches_direct_evaluation(case):
     scale = Fraction(nonzero[0][0]) / nonzero[0][1] if nonzero else Fraction(1)
     assert scale > 0
     assert [list(row) for row in table] == [[scale * f for f in frow] for frow in pairings]
+
+
+# --- the paired map ------------------------------------------------------------
+
+
+@st.composite
+def pairings(draw):
+    """A map of dimension 1 to 3 into 1 to 3 coordinates, possibly with
+    repeated exponents, with exceptional points; integer normals of any
+    sign, zero entries among them; and points to evaluate at."""
+    dim, out_dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 3)] * dim)
+    point = st.tuples(*[rationals(-3, 3, max_denominator=5)] * dim)
+    coords = tuple(tuple((draw(exponent), draw(small)) for _ in range(draw(st.integers(0, 4))))
+                   for _ in range(out_dim))
+    exceptions = tuple((RationalVector(p), RationalVector(tuple(draw(small) for _ in range(out_dim))))
+                       for p in draw(st.lists(point, max_size=3, unique=True)))
+    normals = tuple(draw(st.lists(st.tuples(*[st.integers(-3, 3)] * out_dim), min_size=1,
+                                  max_size=3)))
+    xs = [RationalVector(x) for x in draw(st.lists(point, min_size=1, max_size=3))]
+    return VectorMap(dim, out_dim, coords, exceptions), normals, xs
+
+
+@SETTINGS
+@given(pairings())
+def test_paired_map_evaluates_to_the_pairings(case):
+    """`_paired(vmap, normals)` at x is <a, vmap(x)> per normal a, at
+    random rational points and at every exceptional point."""
+    vmap, normals, xs = case
+    paired = _paired(vmap, normals)
+    assert (paired.in_dim, paired.out_dim) == (vmap.in_dim, len(normals))
+    for x in xs + vmap.exception_points():
+        ys = vmap.evaluate(x)
+        assert paired.evaluate(x).coords == tuple(sum(a * y for a, y in zip(normal, ys))
+                                                  for normal in normals)
+
+
+WHOLE_LINE = PolyhedralCone.from_generators([RationalVector.of(1), RationalVector.of(-1)])
+WHOLE_PLANE = PolyhedralCone.from_generators(
+    [RationalVector.of(*g) for g in ((1, 0), (-1, 0), (0, 1), (0, -1))])
+
+
+@pytest.mark.parametrize("check", [check_cone_convex, check_convexlike])
+def test_scans_pass_on_the_whole_space(check):
+    """A cone with no halfspaces has nothing to pair a map with: both scans
+    give NotFalsified, as the oracle does, on maps that fail against a
+    pointed cone.  A map of another dimension and a lambda outside (0, 1)
+    are still refused."""
+    notch = ((RationalVector.of("1/2"), RationalVector.of(5)),)
+    grid = GridSpec(BoxSet(RationalVector.of(-1), RationalVector.of(1)), 5)
+    concave = VectorMap(1, 1, ((((2,), Fraction(-1)),),), notch)
+    plane = VectorMap(1, 2, ((((1,), Fraction(1)),), (((1,), Fraction(-1)),)),
+                      ((notch[0][0], RationalVector.of(5, -5)),))
+    ray = PolyhedralCone.from_generators([RationalVector.of(1)])
+    orthant = PolyhedralCone.from_generators([RationalVector.of(1, 0), RationalVector.of(0, 1)])
+    assert check(concave, ray, grid).falsified == (check is check_cone_convex)
+    assert check(plane, orthant, grid).falsified
+    for vmap, cone in ((concave, WHOLE_LINE), (plane, WHOLE_PLANE)):
+        assert cone.normals == ()
+        verdict = check(vmap, cone, grid)
+        assert verdict == ConvexityVerdict("NotFalsified")
+        oracle = oracle_cone_convex if check is check_cone_convex else oracle_convexlike
+        assert verdict == oracle(vmap, cone, grid, [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+        with pytest.raises(ValueError):
+            check(vmap, cone, grid, [Fraction(1)])
+    with pytest.raises(DimensionMismatchError):
+        check(plane, WHOLE_LINE, grid)
+
+
+def test_repeated_scans_share_the_paired_tables():
+    """Each (map, cone normals) pair is tabulated once on a grid's table:
+    scanning a scenario's maps again adds no entry to any table."""
+    parsed = load_scenario_problem("example-4-1")
+    grid = GridSpec(parsed.problem.C, 21)
+    first, _ = convexity_results(parsed, grid)
+    sizes = {key: len(table._maps) for key, table in grid._tables.items()}
+    # F, G on K and H, S on D, each paired once
+    assert sorted(sizes.values()) == [2, 2]
+    for _ in range(2):
+        again, _ = convexity_results(parsed, grid)
+        assert again == first
+        assert {key: len(table._maps) for key, table in grid._tables.items()} == sizes
+
+
+def test_in_box_set_found_once_per_extra_list(monkeypatch):
+    """`GridSpec.table` filters an extra list through `BoxSet.contains`
+    once: asking again for the same list, for another q, or for an equal
+    list of new objects reads the kept set."""
+    calls = []
+    contains = BoxSet.contains
+    monkeypatch.setattr(BoxSet, "contains", lambda box, x: calls.append(x) or contains(box, x))
+    grid = GridSpec(BoxSet(RationalVector.of(0), RationalVector.of(1)), 5)
+    extra = [RationalVector.of("1/3"), RationalVector.of(2)]
+    table = grid.table(extra)
+    assert calls == extra
+    assert grid.table(extra) is table
+    assert grid.table([RationalVector.of("1/3"), RationalVector.of(2)]) is table
+    assert grid.table(extra, 4) is not table
+    assert calls == extra
+    # another list filters once, even when its in-box set is the same
+    assert grid.table([RationalVector.of("1/3")]) is table
+    assert len(calls) == 3
+
+
+# --- metamorphic relations of the scans ----------------------------------------
+
+
+def _transformed(vmap, c, matrix, shift):
+    """c * vmap(x) + matrix x + shift, with each exceptional value
+    transformed the same way."""
+    unit = [tuple(int(i == d) for i in range(vmap.in_dim)) for d in range(vmap.in_dim)]
+    coords = tuple(tuple((e, c * coeff) for e, coeff in monos)
+                   + tuple(zip(unit, row)) + (((0,) * vmap.in_dim, b),)
+                   for monos, row, b in zip(vmap.coords, matrix, shift))
+    exceptions = tuple((p, RationalVector(tuple(c * v + sum(a * x for a, x in zip(row, p)) + b
+                                                for v, row, b in zip(value, matrix, shift))))
+                       for p, value in vmap.exceptions)
+    return VectorMap(vmap.in_dim, vmap.out_dim, coords, exceptions)
+
+
+@st.composite
+def relations(draw):
+    """A case of `cases` with c > 0, a matrix and a shift."""
+    vmap, cone, grid, lams = draw(cases())
+    c = draw(rationals(1, 12, max_denominator=4).map(lambda r: r / 4))
+    matrix = [[draw(small) for _ in range(vmap.in_dim)] for _ in range(vmap.out_dim)]
+    shift = [draw(small) for _ in range(vmap.out_dim)]
+    return vmap, cone, grid, lams, c, matrix, shift
+
+
+RELATIONS = settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+
+
+@RELATIONS
+@given(relations())
+def test_cone_convexity_invariant_under_positive_affine_maps(case):
+    """F -> cF + Ax + b with c > 0 keeps the cone-convexity status and
+    witness: the affine part cancels in every test."""
+    vmap, cone, grid, lams, c, matrix, shift = case
+    assert (check_cone_convex(_transformed(vmap, c, matrix, shift), cone, grid, lams)
+            == check_cone_convex(vmap, cone, grid, lams))
+
+
+@RELATIONS
+@given(relations())
+def test_convexlike_invariant_under_positive_scaling_and_shift(case):
+    """F -> cF + b with c > 0 keeps the convexlike status and witness."""
+    vmap, cone, grid, lams, c, matrix, shift = case
+    zero = [[Fraction(0)] * vmap.in_dim for _ in matrix]
+    assert (check_convexlike(_transformed(vmap, c, zero, shift), cone, grid, lams)
+            == check_convexlike(vmap, cone, grid, lams))

@@ -217,23 +217,29 @@ class TestAlternativeSystem:
             assert (out.x is None) != (out.certificate is None)
 
     def test_each_map_tabulated_once_per_call(self, monkeypatch):
-        """The solution scan and the LP rows read one value table per map;
-        the convexlike scans read the grid's table for their lambdas, but
-        tabulate no map on it."""
+        """The solution scan and the LP rows read one value table per map,
+        and each convexlike scan one table of its map paired with its
+        cone's normals, on the grid's table for its lambdas: each (map or
+        paired map, table) is tabulated once per call."""
         Fmap = scalar_map(((1,), F(1)))
         Gmap = scalar_map(((1,), F(-1)))
         builds = Counter()
         build = _MapTable.__init__
 
         def spy(self, vmap, table):
-            builds[id(vmap)] += 1
+            builds[vmap, id(table), table.q] += 1
             build(self, vmap, table)
 
         monkeypatch.setattr(_MapTable, "__init__", spy)
         for _ in range(2):
             builds.clear()
             assert alternative_system(Fmap, Gmap, RAY, RAY, grid_over(-1, 1)).kind == "Multipliers"
-            assert builds == Counter({id(Fmap): 1, id(Gmap): 1})
+            assert set(builds.values()) == {1}
+            plain = [vmap for vmap, _, q in builds if q == 1]
+            paired = [vmap for vmap, _, q in builds if q == 4]
+            assert plain == [Fmap, Gmap]
+            # <1, F> and <1, G> on the ray's one normal
+            assert paired == [Fmap, Gmap] and len(builds) == 4
 
     @pytest.mark.parametrize("f", [1, -1])
     def test_refuses_d_with_empty_interior(self, f, solves, tmp_path, capsys):
